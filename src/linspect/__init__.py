@@ -37,7 +37,6 @@ from .unravel import (
 from .games import (
     GameResult,
     PathHandle,
-    Position,
     path_iso,
     solve_back_and_forth,
     solve_bisim,

@@ -5,11 +5,23 @@ spoiler/duplicator game for first-order equivalence.
 All solvers are deterministic: move enumeration follows universe order, and
 verdicts come with machine-checkable witnesses (a response table for the
 surviving player, or a winning attack for the other).
+
+Solvers and replays share one implementation of each job.  ``_partial_iso``
+is the partial-isomorphism check behind ``_pairs_partial_iso`` (pebble and
+element games) and ``_pebbled_compatible`` (pebbled paths); ``_path_condition``
+is the path condition behind ``path_iso`` and ``path_hom_compatible``.  The
+back-and-forth solver and its replays share ``_covers``, ``_bottom``,
+``_moves``, ``_answers``, ``_after`` and the strategy walk ``_strategy_walk``;
+``solve_ppeb`` and its replay share ``_gamma_key``, ``_placements`` and
+``_place``.  The replays check the full path condition, not the solver's
+incremental one, so they stay an independent check; ``replay_spoiler`` and
+``replay_ppeb_duplicator`` memoise the positions they have decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Literal, Optional
 
 from .structures import PointedStructure, SignatureMismatch, Structure
@@ -36,14 +48,6 @@ class PathHandle:
 
 
 @dataclass(frozen=True)
-class Position:
-    """A game position: a path on each board."""
-
-    left: PathHandle
-    right: PathHandle
-
-
-@dataclass(frozen=True)
 class GameResult:
     winner: str
     witness: Optional[object] = None
@@ -60,18 +64,39 @@ class CategoryMismatch(ValueError):
 # --- path comparisons --------------------------------------------------------
 
 
-def _modal_labels(f: ForestObject, chain: tuple[str, ...]):
-    return [(f.action_in.get(n), tuple(sorted(f.valuation[n]))) for n in chain]
+def _partial_iso(
+    pairs,
+    image: dict[str, str],
+    left: Structure | ForestObject,
+    right: Structure | ForestObject,
+    reflect: bool,
+) -> bool:
+    """Is the pairing a partial isomorphism (a partial homomorphism unless
+    ``reflect``)?
 
-
-def _last_placements(
-    x: ForestObject, cx: tuple[str, ...], i: int
-) -> dict[int, int]:
-    """Pebble -> index of its last placement within the first i positions."""
-    out: dict[int, int] = {}
-    for j in range(i):
-        out[x.pebble[cx[j]]] = j
-    return out
+    The (left, right) element ``pairs`` must be functional, and injective when
+    ``reflect``.  Every relation tuple over the keys of ``image`` that holds
+    in ``left`` must hold in ``right`` once mapped through ``image``, and
+    conversely when ``reflect``.
+    """
+    fwd: dict[str, str] = {}
+    bwd: dict[str, str] = {}
+    for a, b in pairs:
+        if fwd.setdefault(a, b) != b:
+            return False
+        if reflect and bwd.setdefault(b, a) != a:
+            return False
+    to_right = image.__getitem__
+    for name, arity in left.signature.relations:
+        rel_left, rel_right = left.interp[name], right.interp[name]
+        for combo in product(image, repeat=arity):
+            holds_l = combo in rel_left
+            holds_r = tuple(map(to_right, combo)) in rel_right
+            if holds_l and not holds_r:
+                return False
+            if reflect and holds_r and not holds_l:
+                return False
+    return True
 
 
 def _pairs_partial_iso(
@@ -82,32 +107,7 @@ def _pairs_partial_iso(
 ) -> bool:
     """Functional + injective + relation preservation (and reflection when
     ``reflect``) over the listed (left, right) element pairs."""
-    fwd: dict[str, str] = {}
-    bwd: dict[str, str] = {}
-    for a, b in pairs:
-        if fwd.setdefault(a, b) != b:
-            return False
-        if reflect and bwd.setdefault(b, a) != a:
-            return False
-    dom = sorted(fwd)
-    for name, arity in left.signature.relations:
-        for combo in _tuples_over(dom, arity):
-            holds_l = combo in left.interp[name]
-            holds_r = tuple(fwd[e] for e in combo) in right.interp[name]
-            if holds_l and not holds_r:
-                return False
-            if reflect and holds_r and not holds_l:
-                return False
-    return True
-
-
-def _tuples_over(elements: list, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for rest in _tuples_over(elements, arity - 1):
-        for e in elements:
-            yield (e,) + rest
+    return _partial_iso(pairs, dict(pairs), left, right, reflect)
 
 
 def _pebbled_compatible(
@@ -131,25 +131,30 @@ def _pebbled_compatible(
         return False
     if any(x.pebble[cx[j]] != y.pebble[cy[j]] for j in range(len(cx))):
         return False
-    for i in range(prefix_checked + 1, len(cx) + 1):
-        last = list(_last_placements(x, cx, i).values())
-        fwd: dict[str, str] = {}
-        bwd: dict[str, str] = {}
-        for j in last:
-            a, b = x.origin[cx[j]], y.origin[cy[j]]
-            if fwd.setdefault(a, b) != b:
-                return False
-            if reflect and bwd.setdefault(b, a) != a:
-                return False
-        for name, arity in x.signature.relations:
-            for combo in _tuples_over(last, arity):
-                holds_l = tuple(cx[j] for j in combo) in x.interp[name]
-                holds_r = tuple(cy[j] for j in combo) in y.interp[name]
-                if holds_l and not holds_r:
-                    return False
-                if reflect and holds_r and not holds_l:
-                    return False
+    last: dict[int, tuple[str, str]] = {}  # pebble -> its last placement pair
+    for i, (u, v) in enumerate(zip(cx, cy)):
+        last[x.pebble[u]] = (u, v)
+        if i < prefix_checked:
+            continue
+        placed = [(x.origin[u2], y.origin[v2]) for u2, v2 in last.values()]
+        if not _partial_iso(placed, dict(last.values()), x, y, reflect):
+            return False
     return True
+
+
+def _path_condition(a: PathHandle, b: PathHandle, reflect: bool) -> bool:
+    """Path isomorphism when ``reflect``, else a componentwise morphism."""
+    if a.owner.kind != b.owner.kind:
+        raise CategoryMismatch(f"cannot compare {a.owner.kind} with {b.owner.kind}")
+    ca, cb = a.chain(), b.chain()
+    if a.owner.kind != "modal":
+        return _pebbled_compatible(a.owner, ca, b.owner, cb, reflect)
+    x, y = a.owner, b.owner
+    return len(ca) == len(cb) and all(
+        x.action_in.get(u) == y.action_in.get(v)
+        and (x.valuation[u] == y.valuation[v] if reflect else x.valuation[u] <= y.valuation[v])
+        for u, v in zip(ca, cb)
+    )
 
 
 def path_iso(a: PathHandle, b: PathHandle) -> bool:
@@ -160,28 +165,71 @@ def path_iso(a: PathHandle, b: PathHandle) -> bool:
     induced pairing of last placements is a partial isomorphism between the
     origin structures.
     """
-    if a.owner.kind != b.owner.kind:
-        raise CategoryMismatch(f"cannot compare {a.owner.kind} with {b.owner.kind}")
-    ca, cb = a.chain(), b.chain()
-    if a.owner.kind == "modal":
-        return _modal_labels(a.owner, ca) == _modal_labels(b.owner, cb)
-    return _pebbled_compatible(a.owner, ca, b.owner, cb, True)
+    return _path_condition(a, b, True)
 
 
 def path_hom_compatible(a: PathHandle, b: PathHandle) -> bool:
     """Is there a label-componentwise morphism from a's path to b's path?"""
-    if a.owner.kind != b.owner.kind:
-        raise CategoryMismatch(f"cannot compare {a.owner.kind} with {b.owner.kind}")
-    ca, cb = a.chain(), b.chain()
-    if a.owner.kind == "modal":
-        la, lb = _modal_labels(a.owner, ca), _modal_labels(b.owner, cb)
-        return len(la) == len(lb) and all(
-            xa == xb and set(va) <= set(vb) for (xa, va), (xb, vb) in zip(la, lb)
-        )
-    return _pebbled_compatible(a.owner, ca, b.owner, cb, False)
+    return _path_condition(a, b, False)
 
 
 # --- the back-and-forth game ---------------------------------------------------
+
+# A position is a pair (u, v) of path ends, None standing for the empty path;
+# a Spoiler move is ("left", u2) or ("right", v2), extending one path by a
+# covering step, and Duplicator answers with a node on the other side.
+
+_OTHER_SIDE = {"left": "right", "right": "left"}
+
+
+def _covers(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
+    """The one-step extensions of the path ending at ``node``."""
+    return forest.roots if node is None else forest.children(node)
+
+
+def _bottom(x: ForestObject, y: ForestObject) -> tuple:
+    """The initial position: the roots of modal forests, else the empty paths."""
+    return (x.roots[0], y.roots[0]) if x.kind == "modal" else (None, None)
+
+
+def _moves(x: ForestObject, y: ForestObject, pos: tuple, variant: Variant) -> list:
+    """Spoiler's moves at ``pos``: every left extension, then (in the full
+    game) every right one."""
+    u, v = pos
+    moves = [("left", u2) for u2 in _covers(x, u)]
+    if variant == "full":
+        moves += [("right", v2) for v2 in _covers(y, v)]
+    return moves
+
+
+def _answers(x: ForestObject, y: ForestObject, pos: tuple, move: tuple) -> tuple:
+    """Duplicator's candidate answers to ``move``: extensions on the other side."""
+    return _covers(y, pos[1]) if move[0] == "left" else _covers(x, pos[0])
+
+
+def _after(move: tuple, answer: Optional[str]) -> tuple:
+    """The position after ``move`` and its answer."""
+    return (move[1], answer) if move[0] == "left" else (answer, move[1])
+
+
+def _strategy_walk(x: ForestObject, y: ForestObject, variant: Variant, table: dict):
+    """Yield ``(position, move, response)`` for every Spoiler move at every
+    position that the Duplicator table reaches from the initial position,
+    depth first; ``response`` is None where the table has no entry, and the
+    walk does not continue past it."""
+    bottom = _bottom(x, y)
+    stack, seen = [bottom], {bottom}
+    while stack:
+        pos = stack.pop()
+        for move in _moves(x, y, pos, variant):
+            response = table.get((pos, move))
+            yield pos, move, response
+            if response is None:
+                continue
+            nxt = _after(move, response[1])
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
 
 
 def solve_back_and_forth(
@@ -199,25 +247,15 @@ def solve_back_and_forth(
         raise CategoryMismatch(f"cannot play {x.kind} against {y.kind}")
     modal = x.kind == "modal"
     reflect = variant != "existential_positive"
-    if modal:
-        if len(x.roots) != 1 or len(y.roots) != 1:
-            raise ValueError("modal game needs single-rooted forests")
-        bottom = (x.roots[0], y.roots[0])
-    else:
-        bottom = (None, None)
-
-    def covers(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
-        if node is None:
-            return forest.roots
-        return forest.children(node)
+    if modal and (len(x.roots) != 1 or len(y.roots) != 1):
+        raise ValueError("modal game needs single-rooted forests")
+    bottom = _bottom(x, y)
 
     def step_ok(u: Optional[str], v: Optional[str]) -> bool:
         """Winning-condition increment for the freshly extended pair."""
         if modal:
-            if reflect:
-                vals_ok = x.valuation[u] == y.valuation[v]
-            else:
-                vals_ok = x.valuation[u] <= y.valuation[v]
+            vu, vv = x.valuation[u], y.valuation[v]
+            vals_ok = vu == vv if reflect else vu <= vv
             return vals_ok and x.action_in.get(u) == y.action_in.get(v)
         cu = x.path_to_root(u) if u is not None else ()
         cv = y.path_to_root(v) if v is not None else ()
@@ -229,61 +267,47 @@ def solve_back_and_forth(
     spoiler_table: dict[tuple, tuple] = {}
     memo: dict[tuple, bool] = {}
 
-    def win(u: Optional[str], v: Optional[str]) -> bool:
-        key = (u, v)
-        if key in memo:
-            return memo[key]
+    def win(pos: tuple) -> bool:
+        if pos in memo:
+            return memo[pos]
         result = True
-        for u2 in covers(x, u):
-            ok = next(
-                (v2 for v2 in covers(y, v) if step_ok(u2, v2) and win(u2, v2)), None
+        for move in _moves(x, y, pos, variant):
+            answer = next(
+                (
+                    w
+                    for w in _answers(x, y, pos, move)
+                    if step_ok(*_after(move, w)) and win(_after(move, w))
+                ),
+                None,
             )
-            if ok is None:
+            if answer is None:
                 result = False
-                spoiler_table[key] = ("left", u2)
+                spoiler_table[pos] = move
                 break
-            duplicator_table[(key, ("left", u2))] = ("right", ok)
-        if result and variant == "full":
-            for v2 in covers(y, v):
-                ok = next(
-                    (u2 for u2 in covers(x, u) if step_ok(u2, v2) and win(u2, v2)), None
-                )
-                if ok is None:
-                    result = False
-                    spoiler_table[key] = ("right", v2)
-                    break
-                duplicator_table[(key, ("right", v2))] = ("left", ok)
-        memo[key] = result
+            duplicator_table[(pos, move)] = (_OTHER_SIDE[move[0]], answer)
+        memo[pos] = result
         return result
 
     if modal and not step_ok(*bottom):
         return GameResult(SPOILER, {"initial": "root labels differ"})
-    if win(*bottom):
-        reachable = _reachable_strategy(bottom, covers, x, y, duplicator_table, variant)
+    if win(bottom):
+        reachable = {
+            (pos, move): response
+            for pos, move, response in _strategy_walk(x, y, variant, duplicator_table)
+            if response is not None
+        }
         return GameResult(DUPLICATOR, reachable)
     return GameResult(SPOILER, dict(spoiler_table))
 
 
-def _reachable_strategy(bottom, covers, x, y, table, variant):
-    """Restrict the response table to positions reachable under the strategy."""
-    out = {}
-    stack = [bottom]
-    seen = {bottom}
-    while stack:
-        u, v = stack.pop()
-        moves = [("left", u2) for u2 in covers(x, u)]
-        if variant == "full":
-            moves += [("right", v2) for v2 in covers(y, v)]
-        for move in moves:
-            resp = table.get(((u, v), move))
-            if resp is None:
-                continue
-            out[((u, v), move)] = resp
-            nxt = (move[1], resp[1]) if move[0] == "left" else (resp[1], move[1])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return out
+def _replay_condition(x: ForestObject, y: ForestObject, variant: Variant):
+    """The full path condition on a position, as the replays check it."""
+    reflect = variant != "existential_positive"
+
+    def ok(pos: tuple) -> bool:
+        return _path_condition(PathHandle(x, pos[0]), PathHandle(y, pos[1]), reflect)
+
+    return ok
 
 
 def replay_duplicator(
@@ -291,36 +315,41 @@ def replay_duplicator(
 ) -> bool:
     """Check a Duplicator table: every Spoiler move from every reachable
     position has a response that stays inside the winning condition."""
-    modal = x.kind == "modal"
-    reflect = variant != "existential_positive"
-    bottom = (x.roots[0], y.roots[0]) if modal else (None, None)
-
-    def extensions(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
-        return forest.children(node) if node is not None else forest.roots
-
-    def ok_pair(u, v) -> bool:
-        hu, hv = PathHandle(x, u), PathHandle(y, v)
-        return path_iso(hu, hv) if reflect else path_hom_compatible(hu, hv)
-
-    if not ok_pair(*bottom):
+    ok = _replay_condition(x, y, variant)
+    if not ok(_bottom(x, y)):
         return False
-    stack, seen = [bottom], {bottom}
-    while stack:
-        u, v = stack.pop()
-        moves = [("left", u2) for u2 in extensions(x, u)]
-        if variant == "full":
-            moves += [("right", v2) for v2 in extensions(y, v)]
-        for move in moves:
-            if ((u, v), move) not in table:
-                return False
-            _, resp = table[((u, v), move)]
-            nxt = (move[1], resp) if move[0] == "left" else (resp, move[1])
-            if not ok_pair(*nxt):
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    return all(
+        response is not None and ok(_after(move, response[1]))
+        for _, move, response in _strategy_walk(x, y, variant, table)
+    )
+
+
+def replay_spoiler(
+    x: ForestObject, y: ForestObject, variant: Variant, table: dict
+) -> bool:
+    """Check a Spoiler table: following its moves, every Duplicator response
+    chain eventually leaves the winning condition or strands Duplicator."""
+    ok = _replay_condition(x, y, variant)
+    memo: dict[tuple, bool] = {}
+
+    def defeated(pos: tuple) -> bool:
+        if pos in memo:
+            return memo[pos]
+        if not ok(pos):
+            result = True
+        elif pos not in table:
+            result = False
+        else:
+            move = table[pos]
+            result = all(
+                defeated(_after(move, w)) for w in _answers(x, y, pos, move)
+            )
+        memo[pos] = result
+        return result
+
+    if isinstance(table, dict) and table.get("initial") is not None:
+        return not ok(_bottom(x, y))
+    return defeated(_bottom(x, y))
 
 
 # --- depth-bounded bisimulation -------------------------------------------------
@@ -333,6 +362,15 @@ def solve_bisim(a: PointedStructure, b: PointedStructure, k: int) -> GameResult:
     memo: dict[tuple[str, str, int], bool] = {}
     spoiler_line: dict[tuple[str, str, int], tuple] = {}
 
+    def moves(x: str, y: str):
+        """Spoiler's steps with Duplicator's answers: per action, left first."""
+        for act in a.signature.actions:
+            xs, ys = a.base.successors(x, act), b.base.successors(y, act)
+            for x2 in xs:
+                yield ("left", act, x2), [(x2, y2) for y2 in ys]
+            for y2 in ys:
+                yield ("right", act, y2), [(x2, y2) for x2 in xs]
+
     def win(x: str, y: str, depth: int) -> bool:
         key = (x, y, depth)
         if key in memo:
@@ -340,25 +378,11 @@ def solve_bisim(a: PointedStructure, b: PointedStructure, k: int) -> GameResult:
         result = a.base.valuation(x) == b.base.valuation(y)
         if not result:
             spoiler_line[key] = ("labels", x, y)
-        if result and depth > 0:
-            for act in a.signature.actions:
-                for x2 in a.base.successors(x, act):
-                    if not any(
-                        win(x2, y2, depth - 1) for y2 in b.base.successors(y, act)
-                    ):
-                        result = False
-                        spoiler_line[key] = ("left", act, x2)
-                        break
-                if not result:
-                    break
-                for y2 in b.base.successors(y, act):
-                    if not any(
-                        win(x2, y2, depth - 1) for x2 in a.base.successors(x, act)
-                    ):
-                        result = False
-                        spoiler_line[key] = ("right", act, y2)
-                        break
-                if not result:
+        elif depth > 0:
+            for move, answers in moves(x, y):
+                if not any(win(x2, y2, depth - 1) for x2, y2 in answers):
+                    result = False
+                    spoiler_line[key] = move
                     break
         memo[key] = result
         return result
@@ -370,6 +394,28 @@ def solve_bisim(a: PointedStructure, b: PointedStructure, k: int) -> GameResult:
 
 
 # --- all-in-one two-sided pebble game -------------------------------------------
+
+
+def _gamma_key(gamma: dict[int, tuple[str, str]]) -> tuple:
+    """A pebble-game position: the pebble-to-pair assignment, sorted."""
+    return tuple(sorted(gamma.items()))
+
+
+def _placements(a: Structure, b: Structure, k: int):
+    """Spoiler's placements (side, pebble, element): side A first, then by
+    pebble, then in universe order."""
+    for side, source in (("A", a), ("B", b)):
+        for p in range(1, k + 1):
+            for elt in source.universe:
+                yield side, p, elt
+
+
+def _place(gamma: dict[int, tuple[str, str]], move: tuple, answer: str) -> dict:
+    """The assignment after a placement and Duplicator's answer to it."""
+    side, p, elt = move
+    g2 = dict(gamma)
+    g2[p] = (elt, answer) if side == "A" else (answer, elt)
+    return g2
 
 
 def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
@@ -389,43 +435,61 @@ def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
     spoiler_table: dict[tuple, tuple] = {}
     memo: dict[tuple, bool] = {}
 
-    def gamma_key(gamma: dict[int, tuple[str, str]]) -> tuple:
-        return tuple(sorted(gamma.items()))
+    def survives(g2: dict[int, tuple[str, str]], remaining: int) -> bool:
+        return _pairs_partial_iso(list(g2.values()), a, b, True) and win(g2, remaining)
 
     def win(gamma: dict[int, tuple[str, str]], remaining: int) -> bool:
-        key = (gamma_key(gamma), remaining)
+        key = (_gamma_key(gamma), remaining)
         if key in memo:
             return memo[key]
         result = True
         if remaining > 0:
-            for side, source, target in (("A", a, b), ("B", b, a)):
-                for p in range(1, k + 1):
-                    for xelt in source.universe:
-                        answered = None
-                        for yelt in target.universe:
-                            pair = (xelt, yelt) if side == "A" else (yelt, xelt)
-                            g2 = dict(gamma)
-                            g2[p] = pair
-                            if _pairs_partial_iso(list(g2.values()), a, b, True) and win(
-                                g2, remaining - 1
-                            ):
-                                answered = yelt
-                                break
-                        if answered is None:
-                            result = False
-                            spoiler_table[key] = (side, p, xelt)
-                            break
-                        duplicator_table[(key, (side, p, xelt))] = answered
-                    if not result:
-                        break
-                if not result:
+            for move in _placements(a, b, k):
+                target = b if move[0] == "A" else a
+                answer = next(
+                    (
+                        w
+                        for w in target.universe
+                        if survives(_place(gamma, move, w), remaining - 1)
+                    ),
+                    None,
+                )
+                if answer is None:
+                    result = False
+                    spoiler_table[key] = move
                     break
+                duplicator_table[(key, move)] = answer
         memo[key] = result
         return result
 
     if win({}, n):
         return GameResult(DUPLICATOR, dict(duplicator_table))
     return GameResult(SPOILER, dict(spoiler_table))
+
+
+def replay_ppeb_duplicator(
+    a: Structure, b: Structure, k: int, n: int, table: dict
+) -> bool:
+    """Check a pebble-game response table: every placement sequence answered
+    move by move keeps the pairing a partial isomorphism."""
+    memo: dict[tuple, bool] = {}
+
+    def survives(g2: dict[int, tuple[str, str]], remaining: int) -> bool:
+        return _pairs_partial_iso(list(g2.values()), a, b, True) and walk(g2, remaining)
+
+    def walk(gamma: dict[int, tuple[str, str]], remaining: int) -> bool:
+        if remaining == 0:
+            return True
+        key = (_gamma_key(gamma), remaining)
+        if key not in memo:
+            memo[key] = all(
+                (key, move) in table
+                and survives(_place(gamma, move, table[(key, move)]), remaining - 1)
+                for move in _placements(a, b, k)
+            )
+        return memo[key]
+
+    return walk({}, n)
 
 
 # --- rounds-bounded first-order game --------------------------------------------
@@ -452,17 +516,11 @@ def solve_ef(
         key = (pairs, rounds)
         if key in memo:
             return memo[key]
-        result = _pairs_partial_iso(sorted(pairs), a, b, True)
-        if result and rounds > 0:
-            for x in a.universe:
-                if not any(win(pairs | {(x, y)}, rounds - 1) for y in b.universe):
-                    result = False
-                    break
-            if result:
-                for y in b.universe:
-                    if not any(win(pairs | {(x, y)}, rounds - 1) for x in a.universe):
-                        result = False
-                        break
+        result = _pairs_partial_iso(pairs, a, b, True) and (
+            rounds == 0
+            or all(any(win(pairs | {(x, y)}, rounds - 1) for y in b.universe) for x in a.universe)
+            and all(any(win(pairs | {(x, y)}, rounds - 1) for x in a.universe) for y in b.universe)
+        )
         memo[key] = result
         return result
 
@@ -477,68 +535,3 @@ def witness_records(result: GameResult) -> list[tuple]:
     if not isinstance(result.witness, dict):
         return []
     return sorted((repr(k), repr(v)) for k, v in result.witness.items())
-
-
-def replay_spoiler(
-    x: ForestObject, y: ForestObject, variant: Variant, table: dict
-) -> bool:
-    """Check a Spoiler table: following its moves, every Duplicator response
-    chain eventually leaves the winning condition or strands Duplicator."""
-    modal = x.kind == "modal"
-    reflect = variant != "existential_positive"
-    bottom = (x.roots[0], y.roots[0]) if modal else (None, None)
-
-    def extensions(forest: ForestObject, node) -> tuple[str, ...]:
-        return forest.children(node) if node is not None else forest.roots
-
-    def ok_pair(u, v) -> bool:
-        hu, hv = PathHandle(x, u), PathHandle(y, v)
-        return path_iso(hu, hv) if reflect else path_hom_compatible(hu, hv)
-
-    def defeated(u, v) -> bool:
-        if not ok_pair(u, v):
-            return True
-        if (u, v) not in table:
-            return False
-        side, move = table[(u, v)]
-        if side == "left":
-            responses = extensions(y, v)
-            return all(defeated(move, v2) for v2 in responses)
-        responses = extensions(x, u)
-        return all(defeated(u2, move) for u2 in responses)
-
-    if isinstance(table, dict) and table.get("initial") is not None:
-        return not ok_pair(*bottom)
-    return defeated(*bottom)
-
-
-def replay_ppeb_duplicator(
-    a: Structure, b: Structure, k: int, n: int, table: dict
-) -> bool:
-    """Check a pebble-game response table: every placement sequence answered
-    move by move keeps the pairing a partial isomorphism."""
-
-    def gamma_key(gamma: dict[int, tuple[str, str]]) -> tuple:
-        return tuple(sorted(gamma.items()))
-
-    def walk(gamma: dict[int, tuple[str, str]], remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        key = (gamma_key(gamma), remaining)
-        for side, source in (("A", a), ("B", b)):
-            for p in range(1, k + 1):
-                for xelt in source.universe:
-                    move = (side, p, xelt)
-                    if (key, move) not in table:
-                        return False
-                    yelt = table[(key, move)]
-                    pair = (xelt, yelt) if side == "A" else (yelt, xelt)
-                    g2 = dict(gamma)
-                    g2[p] = pair
-                    if not _pairs_partial_iso(list(g2.values()), a, b, True):
-                        return False
-                    if not walk(g2, remaining - 1):
-                        return False
-        return True
-
-    return walk({}, n)

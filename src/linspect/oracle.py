@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .structures import (
@@ -24,6 +25,7 @@ from .structures import (
 from .traces import check_trace_relation, runs_upto
 from .unravel import (
     ForestObject,
+    _modal_forest,
     as_pointed,
     ml_graft,
     ml_unravel,
@@ -189,40 +191,33 @@ def _modal_iso_mapping(x: ForestObject, y: ForestObject) -> Optional[dict]:
     return mapping
 
 
-def _pair_forest(x: ForestObject, y: ForestObject) -> tuple[dict, dict, dict]:
-    """Synchronized pair-forest of two modal forests on label-equal pairs.
-
-    Returns (children, map1, map2) keyed by pair nodes."""
+def _pair_forest(x: ForestObject, y: ForestObject) -> dict[tuple, list[tuple]]:
+    """Synchronized pair-forest of two modal forests on label-equal pairs, as
+    the children of each pair node."""
     root = (x.roots[0], y.roots[0])
     if x.valuation[root[0]] != y.valuation[root[1]]:
-        return {}, {}, {}
+        return {}
+    label_equal = _modal_step_cond(x, y, "pathwise_embedding")
     children: dict[tuple, list[tuple]] = {}
     stack = [root]
     seen = {root}
     while stack:
         u, v = stack.pop()
-        kids = []
-        for u2 in x.children(u):
-            for v2 in y.children(v):
-                if (
-                    x.action_in.get(u2) == y.action_in.get(v2)
-                    and x.valuation[u2] == y.valuation[v2]
-                ):
-                    kids.append((u2, v2))
+        kids = [
+            (u2, v2) for u2 in x.children(u) for v2 in y.children(v) if label_equal(u2, v2)
+        ]
         children[(u, v)] = kids
         for kid in kids:
             if kid not in seen:
                 seen.add(kid)
                 stack.append(kid)
-    map1 = {z: z[0] for z in children}
-    map2 = {z: z[1] for z in children}
-    return children, map1, map2
+    return children
 
 
 def _open_span_search(x: ForestObject, y: ForestObject) -> Optional[MorphismWitness]:
     """Greatest sub-forest of the synchronized pair-forest whose projections
     satisfy the path-lifting condition on every node, both sides."""
-    children, _, _ = _pair_forest(x, y)
+    children = _pair_forest(x, y)
     root = (x.roots[0], y.roots[0])
     if root not in children:
         return None
@@ -258,37 +253,13 @@ def _open_span_search(x: ForestObject, y: ForestObject) -> Optional[MorphismWitn
     def pair_id(z: tuple) -> str:
         return f"<{z[0]};{z[1]}>"
 
-    nodes = []
-    parent: dict[str, str] = {}
-    valuation = {}
-    action_in = {}
-    origin = {}
-    interp: dict[str, set] = {name: set() for name in x.signature.names}
-    order = sorted(reachable, key=lambda z: (x.depth(z[0]), z))
-    for z in order:
-        nid = pair_id(z)
-        nodes.append(nid)
-        valuation[nid] = x.valuation[z[0]]
-        origin[nid] = z[0]
-        for prop in x.signature.propositions:
-            if prop in valuation[nid]:
-                interp[prop].add((nid,))
-        if z != root:
-            par = (x.parent[z[0]], y.parent[z[1]])
-            parent[nid] = pair_id(par)
-            action_in[nid] = x.action_in[z[0]]
-            interp[action_in[nid]].add((parent[nid], nid))
-    mediator = ForestObject(
-        kind="modal",
-        signature=x.signature,
-        nodes=tuple(nodes),
-        parent=parent,
-        roots=(pair_id(root),),
-        interp={k: frozenset(v) for k, v in interp.items()},
-        origin=origin,
-        valuation=valuation,
-        action_in=action_in,
-    )
+    def steps():
+        for z in sorted(reachable, key=lambda z: (x.depth(z[0]), z)):
+            u, v = z
+            par = None if z == root else pair_id((x.parent[u], y.parent[v]))
+            yield pair_id(z), par, u, x.valuation[u], x.action_in.get(u)
+
+    mediator = _modal_forest(x.signature, steps(), None)
     map1 = {pair_id(z): z[0] for z in reachable}
     map2 = {pair_id(z): z[1] for z in reachable}
     return MorphismWitness("open_span", map1, map2, mediator)
@@ -378,20 +349,13 @@ def gen_structure(
                     if s != t and rng.random() < edge_density:
                         tuples.add((s, t))
         else:
-            for combo in _all_tuples(universe, arity):
+            # reversed so that the first argument varies fastest, the order
+            # in which seeded draws have always been made
+            for combo in (t[::-1] for t in product(universe, repeat=arity)):
                 if len(set(combo)) == len(combo) and rng.random() < edge_density:
                     tuples.add(combo)
         interp[name] = frozenset(tuples)
     return Structure(sig, universe, interp)
-
-
-def _all_tuples(universe: Sequence[str], arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for rest in _all_tuples(universe, arity - 1):
-        for e in universe:
-            yield (e,) + rest
 
 
 def gen_pointed(sig: Signature, size: int, rng: random.Random, **kw) -> PointedStructure:

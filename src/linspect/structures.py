@@ -173,25 +173,11 @@ def distance(s: Structure, a: str, b: str) -> float:
     for e in (a, b):
         if e not in s.universe:
             raise UnknownElement(e)
-    if a == b:
-        return 0
-    adj = gaifman_graph(s)
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt: list[str] = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == b:
-                        return dist[y]
-                    nxt.append(y)
-        frontier = nxt
-    return float("inf")
+    return _distances_from(s, a).get(b, float("inf"))
 
 
 def _distances_from(s: Structure, a: str) -> dict[str, int]:
+    """Breadth-first Gaifman distances from ``a`` to every element it reaches."""
     adj = gaifman_graph(s)
     dist = {a: 0}
     frontier = [a]

@@ -120,15 +120,6 @@ def _trace_key(t: LabelledTrace) -> tuple:
     return (len(t), t.actions, tuple(tuple(sorted(v)) for v in t.valuations), t.complete)
 
 
-def is_run(p: PointedStructure, run: Run) -> bool:
-    if run.states[0] != p.point:
-        return False
-    return all(
-        p.base.has(action, run.states[i], run.states[i + 1])
-        for i, action in enumerate(run.actions)
-    )
-
-
 def enumerate_runs(p: PointedStructure, n: int) -> tuple[Run, ...]:
     """All runs of length exactly n from the point, in deterministic order."""
     _require_modal(p)
@@ -407,11 +398,11 @@ def check_trace_relation(
 
     if rel == "tr":
         w = _check_inclusion(a, b, _vc_subset, k, None)
-        return RelationVerdict(rel, bound, w is None, w, "left" if w else None)
+        return RelationVerdict(rel, bound, w is None, w, "left" if w is not None else None)
 
     if rel == "ltr":
         w = _check_inclusion(a, b, _vc_equal, k, None)
-        return RelationVerdict(rel, bound, w is None, w, "left" if w else None)
+        return RelationVerdict(rel, bound, w is None, w, "left" if w is not None else None)
 
     if rel == "cltr":
         complete_max = 10**9 if exact else max(k - 1, -1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 
@@ -137,10 +138,47 @@ def _run_string(run: Run) -> str:
     return f"{run.states[0]}{steps}"
 
 
-def _run_node(run: Run, i: int) -> str:
-    # the full run tags the chain: distinct runs get disjoint chains even
-    # when they share a prefix
-    return f"{_run_string(run)}|{i}"
+def _modal_forest(
+    signature: Signature, steps, origin_structure: Optional[Structure]
+) -> ForestObject:
+    """The single-rooted modal forest listed by ``steps``.
+
+    Each step is ``(node, parent, origin, valuation, action)``; the root comes
+    first, with parent and action None.  Node order follows the steps, and
+    each action relates exactly the covering pairs that it labels.
+    """
+    nodes: list[str] = []
+    parent: dict[str, str] = {}
+    origin: dict[str, str] = {}
+    valuation: dict[str, frozenset[str]] = {}
+    action_in: dict[str, str] = {}
+    binary: dict[str, set[tuple[str, str]]] = {a: set() for a in signature.actions}
+    for node, par, orig, val, act in steps:
+        nodes.append(node)
+        origin[node] = orig
+        valuation[node] = val
+        if par is not None:
+            parent[node] = par
+            action_in[node] = act
+            binary[act].add((par, node))
+    interp: dict[str, frozenset[tuple[str, ...]]] = {
+        prop: frozenset((n,) for n in nodes if prop in valuation[n])
+        for prop in signature.propositions
+    }
+    for act in signature.actions:
+        interp[act] = frozenset(binary[act])
+    return ForestObject(
+        kind="modal",
+        signature=signature,
+        nodes=tuple(nodes),
+        parent=parent,
+        roots=(nodes[0],),
+        interp=interp,
+        origin=origin,
+        valuation=valuation,
+        action_in=action_in,
+        origin_structure=origin_structure,
+    )
 
 
 def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str]]:
@@ -150,42 +188,23 @@ def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str
     """
     if not p.signature.modal:
         raise NonModalSignature("ml_unravel requires a modal signature")
-    root = p.point
-    nodes = [root]
-    parent: dict[str, str] = {}
-    origin = {root: p.point}
-    valuation = {root: p.base.valuation(p.point)}
-    action_in: dict[str, str] = {}
-    binary: dict[str, set[tuple[str, str]]] = {a: set() for a in p.signature.actions}
-    for run in maximal_runs(p, k):
-        prev = root
-        for i in range(1, len(run) + 1):
-            node = _run_node(run, i)
-            nodes.append(node)
-            parent[node] = prev
-            origin[node] = run.states[i]
-            valuation[node] = p.base.valuation(run.states[i])
-            action_in[node] = run.actions[i - 1]
-            binary[run.actions[i - 1]].add((prev, node))
-            prev = node
-    interp: dict[str, frozenset[tuple[str, ...]]] = {}
-    for prop in p.signature.propositions:
-        interp[prop] = frozenset((n,) for n in nodes if prop in valuation[n])
-    for act in p.signature.actions:
-        interp[act] = frozenset(binary[act])
-    forest = ForestObject(
-        kind="modal",
-        signature=p.signature,
-        nodes=tuple(nodes),
-        parent=parent,
-        roots=(root,),
-        interp=interp,
-        origin=origin,
-        valuation=valuation,
-        action_in=action_in,
-        origin_structure=p.base,
-    )
-    return forest, dict(origin)
+    valuation = p.base.valuation
+
+    def steps():
+        yield p.point, None, p.point, valuation(p.point), None
+        for run in maximal_runs(p, k):
+            # the full run tags the chain: distinct runs get disjoint chains
+            # even when they share a prefix
+            tag = _run_string(run)
+            prev = p.point
+            for i in range(1, len(run) + 1):
+                node = f"{tag}|{i}"
+                state = run.states[i]
+                yield node, prev, state, valuation(state), run.actions[i - 1]
+                prev = node
+
+    forest = _modal_forest(p.signature, steps(), p.base)
+    return forest, dict(forest.origin)
 
 
 def ml_node_count(p: PointedStructure, k: int) -> int:
@@ -197,48 +216,19 @@ def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
     """Depth-k synchronization tree: nodes are runs, children extend by a step."""
     if not p.signature.modal:
         raise NonModalSignature("tree_unravel requires a modal signature")
-    root = f"@{p.point}"
-    nodes = [root]
-    parent: dict[str, str] = {}
-    origin = {root: p.point}
-    valuation = {root: p.base.valuation(p.point)}
-    action_in: dict[str, str] = {}
-    binary: dict[str, set[tuple[str, str]]] = {a: set() for a in p.signature.actions}
+    valuation = p.base.valuation
 
-    def node_id(run: Run) -> str:
-        if len(run) == 0:
-            return root
-        return "@" + _run_node(run, len(run)).rsplit("|", 1)[0]
+    def steps():
+        # runs come shortest first, so a run's prefix is named before the run
+        root = f"@{p.point}"
+        ids = {((p.point,), ()): root}
+        yield root, None, p.point, valuation(p.point), None
+        for run in runs_upto(p, k)[1:]:
+            par = ids[run.states[:-1], run.actions[:-1]]
+            node = ids[run.states, run.actions] = f"{par}>{run.actions[-1]}:{run.last}"
+            yield node, par, run.last, valuation(run.last), run.actions[-1]
 
-    for run in runs_upto(p, k):
-        if len(run) == 0:
-            continue
-        node = node_id(run)
-        prefix = Run(run.states[:-1], run.actions[:-1])
-        par = node_id(prefix)
-        nodes.append(node)
-        parent[node] = par
-        origin[node] = run.last
-        valuation[node] = p.base.valuation(run.last)
-        action_in[node] = run.actions[-1]
-        binary[run.actions[-1]].add((par, node))
-    interp: dict[str, frozenset[tuple[str, ...]]] = {}
-    for prop in p.signature.propositions:
-        interp[prop] = frozenset((n,) for n in nodes if prop in valuation[n])
-    for act in p.signature.actions:
-        interp[act] = frozenset(binary[act])
-    return ForestObject(
-        kind="modal",
-        signature=p.signature,
-        nodes=tuple(nodes),
-        parent=parent,
-        roots=(root,),
-        interp=interp,
-        origin=origin,
-        valuation=valuation,
-        action_in=action_in,
-        origin_structure=p.base,
-    )
+    return _modal_forest(p.signature, steps(), p.base)
 
 
 def coreflect(x: ForestObject) -> ForestObject:
@@ -371,11 +361,6 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
 # --- pebble-sequence forest ---------------------------------------------------
 
 
-def _seq_node(seq: tuple[tuple[int, str], ...], i: int) -> str:
-    body = "".join(f"({p}:{e})" for p, e in seq)
-    return f"{body}|{i}"
-
-
 def pr_unravel(
     s: Structure, k: int, n: int
 ) -> tuple[ForestObject, dict[str, str]]:
@@ -396,7 +381,8 @@ def pr_unravel(
     tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in s.signature.names}
 
     def add_chain(seq: tuple[tuple[int, str], ...]) -> None:
-        ids = [_seq_node(seq, i + 1) for i in range(len(seq))]
+        tag = "".join(f"({pb}:{el})" for pb, el in seq)
+        ids = [f"{tag}|{i}" for i in range(1, len(seq) + 1)]
         for i, node in enumerate(ids):
             nodes.append(node)
             origin[node] = seq[i][1]
@@ -406,7 +392,7 @@ def pr_unravel(
             else:
                 parent[node] = ids[i - 1]
         for name, arity in s.signature.relations:
-            for combo in _index_tuples(len(seq), arity):
+            for combo in product(range(1, len(seq) + 1), repeat=arity):
                 top = max(combo)
                 ok = True
                 for idx in combo:
@@ -441,15 +427,6 @@ def pr_unravel(
         origin_structure=s,
     )
     return forest, dict(origin)
-
-
-def _index_tuples(length: int, arity: int):
-    if arity == 0:
-        yield ()
-        return
-    for rest in _index_tuples(length, arity - 1):
-        for i in range(1, length + 1):
-            yield (i,) + rest
 
 
 @dataclass(frozen=True)

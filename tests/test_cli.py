@@ -65,6 +65,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--rel", "tr", "-k", "1", fx("chain2"), fx("fix1"))
         assert code == 2
 
+    @pytest.mark.parametrize("rel", ["tr", "ltr"])
+    def test_root_valuation_witness(self, capsys, tmp_path, rel):
+        # the witness is the root valuation alone, a trace of length 0
+        data = json.loads((FIXDIR / "fix5.json").read_text())
+        data["interp"]["p"] = []
+        bare = tmp_path / "fix5_without_p.json"
+        bare.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check", "--rel", rel, "-k", "2", fx("fix5"), str(bare))
+        assert (code, out, err) == (1, "FALSE\n{p}  (only left)\n", "")
+
 
 class TestDistinguish:
     def test_deadlock_pair(self, capsys):
@@ -108,6 +118,21 @@ class TestUnravel:
     def test_tree(self, capsys):
         code, out, _ = run_cli(capsys, "unravel", "--comonad", "TREE", "-k", "2", fx("fix2"))
         assert len(json.loads(out)["universe"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("ML", "-k", "3", "fix1"), "unravel_ml_k3_fix1.json"),
+            (("TREE", "-k", "2", "fix2"), "unravel_tree_k2_fix2.json"),
+            (("PR", "-k", "1", "--len", "2", "loop"), "unravel_pr_k1_len2_loop.json"),
+        ],
+    )
+    def test_golden_stdout(self, capsys, argv, golden):
+        # node ids and their order are output, not only the node count
+        *opts, name = argv
+        code, out, _ = run_cli(capsys, "unravel", "--comonad", *opts, fx(name))
+        assert code == 0
+        assert out == (REPO / "tests" / "golden" / golden).read_text()
 
 
 class TestGameAndEval:

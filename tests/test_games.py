@@ -280,6 +280,69 @@ class TestPpebReplay:
             assert replay_ppeb_duplicator(a, b, 2, 2, res.witness)
 
 
+class TestReplayNegativeControls:
+    """Each replay must reject a table that no longer wins."""
+
+    @staticmethod
+    def forked():
+        # u0 -a-> u1 [p] and u0 -a-> u2 [q]: the two a-steps differ in label
+        from linspect.fixtures import PROP_SIG
+        from linspect.structures import PointedStructure
+
+        interp = {
+            "a": frozenset({("u0", "u1"), ("u0", "u2")}),
+            "p": frozenset({("u1",)}),
+            "q": frozenset({("u2",)}),
+        }
+        return PointedStructure(Structure(PROP_SIG, ("u0", "u1", "u2"), interp), "u0")
+
+    def test_duplicator_table_missing_a_response(self):
+        x, _ = ml_unravel(fix1(), 3)
+        y, _ = ml_unravel(fix2(), 3)
+        table = solve_back_and_forth(x, y, "full").witness
+        assert replay_duplicator(x, y, "full", table)
+        for entry in table:
+            cut = {k: v for k, v in table.items() if k != entry}
+            assert not replay_duplicator(x, y, "full", cut), entry
+
+    def test_duplicator_table_redirected_to_a_losing_answer(self):
+        x, _ = ml_unravel(self.forked(), 1)
+        root, (to_p, to_q) = x.roots[0], x.children(x.roots[0])
+        table = solve_back_and_forth(x, x, "full").witness
+        entry = ((root, root), ("left", to_p))
+        assert table[entry] == ("right", to_p)
+        assert replay_duplicator(x, x, "full", table)
+        assert not replay_duplicator(x, x, "full", {**table, entry: ("right", to_q)})
+
+    def test_spoiler_table_with_its_first_move_replaced(self):
+        from linspect.fixtures import fix3
+        from linspect.games import replay_spoiler
+
+        # fix3 has a terminal a-step and an a,b chain; fix4 only the a,b chain
+        x, _ = ml_unravel(fix3(), 2)
+        y, _ = ml_unravel(fix4(), 2)
+        res = solve_back_and_forth(x, y, "full")
+        assert res.winner == SPOILER
+        bottom = (x.roots[0], y.roots[0])
+        terminal_step, chain_step = x.children(x.roots[0])
+        assert res.witness[bottom] == ("left", terminal_step)
+        assert replay_spoiler(x, y, "full", res.witness)
+        replaced = {**res.witness, bottom: ("left", chain_step)}
+        assert not replay_spoiler(x, y, "full", replaced)
+
+    def test_pebble_table_with_an_answer_breaking_the_partial_iso(self):
+        from linspect.games import replay_ppeb_duplicator
+
+        s = chain3()
+        table = solve_ppeb(s, s, 2, 2).witness
+        assert replay_ppeb_duplicator(s, s, 2, 2, table)
+        # pebble 1 on (n0, n0); Spoiler puts pebble 2 on n1, the copycat
+        # answer is n1, and n2 would break the edge n0 -> n1
+        entry = ((((1, ("n0", "n0")),), 1), ("A", 2, "n1"))
+        assert table[entry] == "n1"
+        assert not replay_ppeb_duplicator(s, s, 2, 2, {**table, entry: "n2"})
+
+
 class TestSerializedPebbledGames:
     def test_round_tripped_forests_play_identically(self):
         from linspect.unravel import forest_from_dict, forest_to_dict, pr_unravel

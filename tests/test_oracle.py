@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +60,18 @@ class TestFindMorphism:
         assert witness is not None
         assert check_open_embedding(witness.mediator, x, witness.mapping)
         assert check_open_embedding(witness.mediator, y, witness.mapping2)
+
+    @pytest.mark.parametrize("left, right", [(fix1, fix2), (fix2, fix1)])
+    def test_open_span_mediator_golden(self, left, right):
+        # the mediator's node ids, their order and its parent map, as recorded
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "open_span_mediator_ml_k3.json").read_text()
+        )[f"{left.__name__},{right.__name__}"]
+        x, _ = ml_unravel(left(), 3)
+        y, _ = ml_unravel(right(), 3)
+        mediator = find_morphism(x, y, "open_span").mediator
+        assert list(mediator.nodes) == golden["nodes"]
+        assert mediator.parent == golden["parent"]
 
     def test_open_span_absent_on_cltr_failure(self):
         x, _ = ml_unravel(fix3(), 2)
