@@ -46,7 +46,8 @@ def _cmd_check(args) -> int:
         result = solve_bisim(a, b, args.k)
         print("TRUE" if result.duplicator_wins else "FALSE")
         if not result.duplicator_wins:
-            print(f"spoiler: {sorted(result.witness.items())[0]}")
+            root = (a.point, b.point, args.k)
+            print(f"spoiler: {(root, result.witness[root])}")
         return TRUE if result.duplicator_wins else FALSE
     bound = "exact" if args.exact else args.k
     verdict = check_trace_relation(args.rel, a, b, bound)

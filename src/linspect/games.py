@@ -245,6 +245,8 @@ def solve_back_and_forth(
     """
     if x.kind != y.kind:
         raise CategoryMismatch(f"cannot play {x.kind} against {y.kind}")
+    if x.signature != y.signature:
+        raise SignatureMismatch("the back-and-forth game requires matching signatures")
     modal = x.kind == "modal"
     reflect = variant != "existential_positive"
     if modal and (len(x.roots) != 1 or len(y.roots) != 1):

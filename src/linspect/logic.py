@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .structures import PointedStructure
-from .traces import Run, check_trace_relation, runs_upto, trace_of, ReadyTrace
+from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_of, ReadyTrace
 
 
 class Formula:
@@ -430,9 +430,7 @@ _FRAGMENT_RELATION = {
 
 def _runs_of_trace(p: PointedStructure, trace) -> list[Run]:
     return [
-        r
-        for r in runs_upto(p, len(trace))
-        if len(r) == len(trace) and trace_of(p, r).dropped() == trace.dropped()
+        r for r in enumerate_runs(p, len(trace)) if trace_of(p, r).dropped() == trace.dropped()
     ]
 
 

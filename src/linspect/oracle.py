@@ -226,9 +226,9 @@ def _open_span_search(x: ForestObject, y: ForestObject) -> Optional[MorphismWitn
     def survives(z: tuple) -> bool:
         u, v = z
         kept_kids = [w for w in children[z] if w in kept]
-        return all(
-            any(w[0] == u2 for w in kept_kids) for u2 in x.children(u)
-        ) and all(any(w[1] == v2 for w in kept_kids) for v2 in y.children(v))
+        lifted_u = {w[0] for w in kept_kids}
+        lifted_v = {w[1] for w in kept_kids}
+        return lifted_u.issuperset(x.children(u)) and lifted_v.issuperset(y.children(v))
 
     # worklist fixpoint: a removal can only invalidate the pair's parent
     pending = sorted(kept)
@@ -393,35 +393,17 @@ class SuiteReport:
         return 0 if self.fail == 0 else 1
 
 
-def _diamondpos_transfer(a: PointedStructure, b: PointedStructure, k: int) -> bool:
-    return all(
-        eval_formula(synth_trace_formula(a, run, "DiamondPos"), b)
-        for run in runs_upto(a, k)
-    )
-
-
-def _diamond_transfer(a: PointedStructure, b: PointedStructure, k: int) -> bool:
-    return all(
-        eval_formula(synth_trace_formula(a, run, "Diamond"), b)
-        for run in runs_upto(a, k)
-    )
-
-
-def _deadlock_transfer(a: PointedStructure, b: PointedStructure, k: int) -> bool:
+def _transfer(a: PointedStructure, b: PointedStructure, k: int, fragment: str) -> bool:
+    """Does ``b`` satisfy the fragment's trace formula of every run of ``a`` up
+    to length k?  A formula deeper than k (a deadlock mark at depth k) falls
+    back to the Diamond one."""
     for run in runs_upto(a, k):
-        f = synth_trace_formula(a, run, "DeadlockDiamond")
+        f = synth_trace_formula(a, run, fragment)
         if modal_depth(f) > k:
             f = synth_trace_formula(a, run, "Diamond")
         if not eval_formula(f, b):
             return False
     return True
-
-
-def _graded_transfer(a: PointedStructure, b: PointedStructure, k: int) -> bool:
-    return all(
-        eval_formula(synth_trace_formula(a, run, "Graded"), b)
-        for run in runs_upto(a, k)
-    )
 
 
 def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
@@ -439,37 +421,38 @@ def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> Sui
                 "item1",
                 find_morphism(ua, ub, "homomorphism") is not None,
                 check_trace_relation("tr", a, b, k).holds,
-                _diamondpos_transfer(a, b, k),
+                _transfer(a, b, k, "DiamondPos"),
             ),
             (
                 "item1-rev",
                 find_morphism(ub, ua, "homomorphism") is not None,
                 check_trace_relation("tr", b, a, k).holds,
-                _diamondpos_transfer(b, a, k),
+                _transfer(b, a, k, "DiamondPos"),
             ),
             (
                 "item2",
                 find_morphism(ua, ub, "pathwise_embedding") is not None,
                 check_trace_relation("ltr", a, b, k).holds,
-                _diamond_transfer(a, b, k),
+                _transfer(a, b, k, "Diamond"),
             ),
             (
                 "item2-rev",
                 find_morphism(ub, ua, "pathwise_embedding") is not None,
                 check_trace_relation("ltr", b, a, k).holds,
-                _diamond_transfer(b, a, k),
+                _transfer(b, a, k, "Diamond"),
             ),
             (
                 "item3",
                 find_morphism(ua, ub, "open_span") is not None,
                 check_trace_relation("cltr", a, b, k).holds,
-                _deadlock_transfer(a, b, k) and _deadlock_transfer(b, a, k),
+                _transfer(a, b, k, "DeadlockDiamond")
+                and _transfer(b, a, k, "DeadlockDiamond"),
             ),
             (
                 "item4",
                 find_morphism(ua, ub, "isomorphism") is not None,
                 check_trace_relation("gltr", a, b, k).holds,
-                _graded_transfer(a, b, k) and _graded_transfer(b, a, k),
+                _transfer(a, b, k, "Graded") and _transfer(b, a, k, "Graded"),
             ),
         ]
         for label, categorical, behavioural, logical in checks:

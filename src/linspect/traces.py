@@ -1,11 +1,12 @@
 """Runs, labelled/complete/ready traces, and the trace-relation deciders.
 
-Bounded relations are graded by a length bound k.  Exact (unbounded) decisions
-for tr/ltr/cltr run a subset construction over the letter alphabet
-(action, target valuation) on trace automata; the bounded deciders share the
-same engine with a depth cutoff, so the two modes coincide whenever the bound
-covers the shortest counterexample (at desk scale, the product of the state
-counts is ample).
+All five relations are decided by one breadth-first search over trace words
+on trace automata (``_inclusion_witness``); the relations differ only in the
+label (valuation, or ready set for rt), the label condition (inclusion for
+tr, equality otherwise), the sides that spell words (both for gltr and rt)
+and whether runs are counted (gltr).  Exact mode is the same search without a
+depth cutoff.  The witness is the shortest word on which the sides disagree;
+ties go to the least word by (actions, labels as sorted tuples).
 
 Grading notes, pinned here because every downstream module relies on them:
 
@@ -27,9 +28,9 @@ Grading notes, pinned here because every downstream module relies on them:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+import operator
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Union
+from typing import Callable, Iterator, Literal, Mapping, Optional, Union
 
 from .structures import PointedStructure, SignatureMismatch
 
@@ -116,39 +117,30 @@ def render_trace(t: Union[LabelledTrace, ReadyTrace]) -> str:
     return text
 
 
-def _trace_key(t: LabelledTrace) -> tuple:
-    return (len(t), t.actions, tuple(tuple(sorted(v)) for v in t.valuations), t.complete)
+def runs_upto(p: PointedStructure, k: int) -> tuple[Run, ...]:
+    """All runs of length <= k, shortest first; each run extends its prefix by
+    action in signature order, then by successor in universe order."""
+    _require_modal(p)
+    layer: tuple[Run, ...] = (Run((p.point,), ()),) if k >= 0 else ()
+    runs = list(layer)
+    for _ in range(k):
+        layer = tuple(
+            Run(run.states + (target,), run.actions + (action,))
+            for run in layer
+            for action in p.signature.actions
+            for target in p.base.successors(run.last, action)
+        )
+        runs.extend(layer)
+    return tuple(runs)
 
 
 def enumerate_runs(p: PointedStructure, n: int) -> tuple[Run, ...]:
     """All runs of length exactly n from the point, in deterministic order."""
-    _require_modal(p)
-    runs: list[Run] = []
-
-    def extend(states: list[str], actions: list[str]) -> None:
-        if len(actions) == n:
-            runs.append(Run(tuple(states), tuple(actions)))
-            return
-        here = states[-1]
-        for action in p.signature.actions:
-            for target in p.base.successors(here, action):
-                extend(states + [target], actions + [action])
-
-    extend([p.point], [])
-    return tuple(runs)
-
-
-def runs_upto(p: PointedStructure, k: int) -> tuple[Run, ...]:
-    """All runs of length <= k, shortest first."""
-    out: list[Run] = []
-    for n in range(k + 1):
-        out.extend(enumerate_runs(p, n))
-    return tuple(out)
+    return tuple(run for run in runs_upto(p, n) if len(run) == n)
 
 
 def maximal_runs(p: PointedStructure, k: int) -> tuple[Run, ...]:
     """Nonempty runs that exhaust the budget: length k, or ending terminal."""
-    _require_modal(p)
     return tuple(
         r
         for r in runs_upto(p, k)
@@ -178,7 +170,6 @@ def traces_upto(
     p: PointedStructure, k: int, kind: TraceKind = "labelled"
 ) -> frozenset[Union[LabelledTrace, ReadyTrace]]:
     """The trace set of the given kind, restricted to length <= k."""
-    _require_modal(p)
     runs = runs_upto(p, k)
     if kind == "labelled":
         return frozenset(trace_of(p, r).dropped() for r in runs)
@@ -193,150 +184,187 @@ def traces_upto(
 
 # --- trace automaton --------------------------------------------------------
 
+Label = tuple[str, ...]  # a valuation or a ready set, as a sorted tuple
+Letter = tuple[Optional[str], Label]  # (action, label of the target)
+
 
 @dataclass(frozen=True)
 class TraceAutomaton:
-    """Finite acceptor for the labelled-trace language of a pointed structure.
-
-    Letters are (action, target valuation) pairs; every state accepts, and the
-    terminal-marked states additionally accept the complete-trace language.
-    The valuation of the initial state is carried separately as the automaton's
-    output, since a trace starts with a valuation rather than a letter.
-    """
+    """Finite acceptor for the trace language of a pointed structure: every
+    state accepts, the terminal ones also accept the complete traces.
+    ``moves`` indexes the transitions by source and letter; a trace starts
+    with a label, so the pseudo-state None moves to the point by the letter
+    (None, label of the point)."""
 
     states: tuple[str, ...]
-    initial: str
-    output_valuation: frozenset[str]
-    transitions: tuple[tuple[str, str, frozenset[str], str], ...]  # (src, action, valuation, dst)
+    moves: Mapping[Optional[str], Mapping[Letter, list[str]]]
     terminal: frozenset[str]
 
-    def step(self, sources: frozenset[str], action: str, cond: Callable) -> frozenset[str]:
-        return frozenset(
-            dst
-            for (src, act, val, dst) in self.transitions
-            if src in sources and act == action and cond(val)
-        )
-
-    def letters_from(self, sources: frozenset[str]) -> list[tuple[str, frozenset[str]]]:
-        seen = {
-            (act, val)
-            for (src, act, val, _) in self.transitions
-            if src in sources
-        }
-        return sorted(seen, key=lambda l: (l[0], tuple(sorted(l[1]))))
-
     def count_words(self, length: int) -> int:
-        """Number of distinct labelled traces of exactly this length."""
-        prefixes: dict[tuple, frozenset[str]] = {(): frozenset([self.initial])}
-        for _ in range(length):
-            nxt: dict[tuple, frozenset[str]] = {}
-            for word, subset in prefixes.items():
-                for action, val in self.letters_from(subset):
-                    target = self.step(subset, action, lambda v, val=val: v == val)
-                    if target:
-                        nxt[word + ((action, tuple(sorted(val))),)] = target
-            prefixes = nxt
-        return len(prefixes)
+        """Number of distinct traces of exactly this length."""
+        for depth, layer in enumerate(_layers(self, self, operator.eq, both=False, counting=True)):
+            if depth == length:
+                return len(layer)
+        return 0
+
+
+def _automaton(p: PointedStructure, ready: bool) -> TraceAutomaton:
+    """Letters carry the target's ready set if ``ready``, else its valuation."""
+    _require_modal(p)
+    base = p.base
+    edges: dict[str, list[tuple[str, str]]] = {s: [] for s in base.universe}
+    for action in p.signature.actions:
+        for src, dst in base.interp[action]:
+            edges[src].append((action, dst))
+    label = {
+        s: tuple(sorted({a for a, _ in edges[s]} if ready else base.valuation(s)))
+        for s in base.universe
+    }
+    moves: dict = {None: {(None, label[p.point]): [p.point]}}
+    for s, out in edges.items():
+        moves[s] = {}
+        for action, dst in out:
+            moves[s].setdefault((action, label[dst]), []).append(dst)
+    terminal = frozenset(s for s, out in edges.items() if not out)
+    return TraceAutomaton(base.universe, moves, terminal)
 
 
 def build_trace_automaton(p: PointedStructure) -> TraceAutomaton:
-    _require_modal(p)
-    transitions = []
-    for action in p.signature.actions:
-        for src in p.base.universe:
-            for dst in p.base.successors(src, action):
-                transitions.append((src, action, p.base.valuation(dst), dst))
-    return TraceAutomaton(
-        states=p.base.universe,
-        initial=p.point,
-        output_valuation=p.base.valuation(p.point),
-        transitions=tuple(transitions),
-        terminal=frozenset(s for s in p.base.universe if p.base.is_terminal(s)),
-    )
+    return _automaton(p, ready=False)
 
 
-# --- inclusion engine -------------------------------------------------------
+# --- the word search --------------------------------------------------------
+
+# A word is a parent-linked node (parent, letter, left ends, right ends); the
+# ends map the end states of the word's runs to their number of runs (1
+# without counting).  The empty pre-word is the parent of the length-0 words.
+Ends = dict[Optional[str], int]
+Word = tuple[Optional[tuple], Optional[Letter], Ends, Ends]
+Condition = Callable[[Label, Label], bool]
+
+
+def _after(aut: TraceAutomaton, ends: Ends, letters: list[Letter], counting: bool) -> Ends:
+    """Ends of the runs that extend ``ends`` by a move on one of ``letters``."""
+    out: Ends = {}
+    for src, n in ends.items():
+        for letter in letters:
+            for dst in aut.moves[src].get(letter, ()):
+                out[dst] = (out.get(dst, 0) + n) if counting else 1
+    return out
+
+
+def _spelling(word: Word) -> tuple[tuple[str, ...], tuple[Label, ...]]:
+    """The word's (actions, labels), which is its key in the witness order."""
+    letters = []
+    while word[1] is not None:
+        letters.append(word[1])
+        word = word[0]
+    letters.reverse()
+    return tuple(a for a, _ in letters[1:]), tuple(lab for _, lab in letters)
+
+
+def _layers(left: TraceAutomaton, right: TraceAutomaton, cond: Condition,
+            both: bool, counting: bool) -> Iterator[list[Word]]:
+    """The words of each length, spelled by ``left`` (and ``right`` if ``both``).
+
+    Without counting, a word whose pair of end sets was seen at a shorter
+    length is dropped, and of two words of one length with the same pair the
+    lesser is kept: each extension of a dropped word has a shorter or lesser
+    counterpart with the same ends."""
+    alphabet = {letter for moves in right.moves.values() for letter in moves}
+    matching: dict[Letter, list[Letter]] = {}  # letter -> right letters matching it
+    seen: set[tuple[frozenset, frozenset]] = set()
+    layer: list[Word] = [(None, None, {None: 1}, {None: 1})]
+    while True:
+        nxt: list[Word] = []
+        slot: dict[tuple[frozenset, frozenset], int] = {}
+        for word in layer:
+            _, _, ends_l, ends_r = word
+            letters = {letter for s in ends_l for letter in left.moves[s]}
+            if both:
+                letters.update(letter for s in ends_r for letter in right.moves[s])
+            for letter in sorted(letters):
+                if letter not in matching:
+                    matching[letter] = [
+                        m for m in alphabet if m[0] == letter[0] and cond(letter[1], m[1])
+                    ]
+                child = (word, letter, _after(left, ends_l, [letter], counting),
+                         _after(right, ends_r, matching[letter], counting))
+                if counting:
+                    nxt.append(child)
+                    continue
+                pair = (frozenset(child[2]), frozenset(child[3]))
+                if pair in seen:
+                    continue
+                if pair not in slot:
+                    slot[pair] = len(nxt)
+                    nxt.append(child)
+                elif _spelling(child) < _spelling(nxt[slot[pair]]):
+                    nxt[slot[pair]] = child
+        if not nxt:
+            return
+        seen.update(slot)
+        layer = nxt
+        yield layer
 
 
 def _inclusion_witness(
-    left: TraceAutomaton,
-    right: TraceAutomaton,
-    val_cond: Callable[[frozenset[str], frozenset[str]], bool],
-    max_len: Optional[int],
-    complete_max: Optional[int],
-) -> Optional[LabelledTrace]:
-    """Shortest-first search for a left-trace not matched on the right.
+    left: TraceAutomaton, right: TraceAutomaton, cond: Condition, both: bool,
+    counting: bool, complete: bool, max_len: Optional[int],
+) -> Optional[tuple[tuple[frozenset[str], ...], tuple[str, ...], bool, str]]:
+    """The least shortest word of length <= ``max_len`` (None = unbounded) on
+    which the sides disagree, as (labels, actions, complete, side), or None.
 
-    ``val_cond(vl, vr)`` is the per-index valuation condition.  ``max_len``
-    bounds trace length (None = unbounded); ``complete_max`` enables the
-    complete-trace check up to that length (None = no completeness check).
-    Returns a minimal failing trace (shortlex in (action, valuation) letters),
-    or None if the inclusion holds.
+    The sides disagree on a word one has and the other lacks; if ``complete``,
+    also on a word shorter than ``max_len`` with a terminal end on the left
+    only.  With counting, they disagree on a nonempty word whose number of
+    maximal runs (of length ``max_len``, or ending terminal) differs.
     """
-    left_succ: dict[str, list[tuple[str, frozenset[str], str]]] = {s: [] for s in left.states}
-    for (src, act, val, dst) in left.transitions:
-        left_succ[src].append((act, val, dst))
-    for entries in left_succ.values():
-        entries.sort(key=lambda e: (e[0], tuple(sorted(e[1])), e[2]))
 
-    def trace_back(node) -> LabelledTrace:
-        vals: list[frozenset[str]] = []
-        acts: list[str] = []
-        while node is not None:
-            state, _, parent, act = node
-            vals.append(_left_val[state] if act is not None else left.output_valuation)
-            if act is not None:
-                acts.append(act)
-            node = parent
-        vals.reverse()
-        acts.reverse()
-        return LabelledTrace(tuple(vals), tuple(acts))
+    def maximal(aut: TraceAutomaton, ends: Ends, depth: int) -> int:
+        return sum(n for s, n in ends.items() if depth == max_len or s in aut.terminal)
 
-    _left_val: dict[str, frozenset[str]] = {left.initial: left.output_valuation}
-    for (src, act, val, dst) in left.transitions:
-        _left_val[dst] = val
+    def disagreement(ends_l: Ends, ends_r: Ends, depth: int) -> Optional[tuple[str, bool]]:
+        if counting:
+            n_l, n_r = maximal(left, ends_l, depth), maximal(right, ends_r, depth)
+            if depth == 0 or n_l == n_r:
+                return None
+            return ("left" if n_l > n_r else "right"), False
+        if bool(ends_l) != bool(ends_r):
+            return "left" if ends_l else "right", False
+        if (complete and (max_len is None or depth < max_len)
+                and not left.terminal.isdisjoint(ends_l)
+                and right.terminal.isdisjoint(ends_r)):
+            return "left", True
+        return None
 
-    start_set = (
-        frozenset([right.initial])
-        if val_cond(left.output_valuation, right.output_valuation)
-        else frozenset()
-    )
-    root = (left.initial, start_set, None, None)
-    if not start_set:
-        return trace_back(root)
-
-    seen: set[tuple[str, frozenset[str]]] = {(left.initial, start_set)}
-    queue: deque = deque([(root, 0)])
-    while queue:
-        node, depth = queue.popleft()
-        state, matched, _, _ = node
-        if (
-            complete_max is not None
-            and depth <= complete_max
-            and state in left.terminal
-            and not (matched & right.terminal)
-        ):
-            t = trace_back(node)
-            return LabelledTrace(t.valuations, t.actions, complete=True)
-        if max_len is not None and depth >= max_len:
-            continue
-        for act, val, dst in left_succ[state]:
-            target = right.step(matched, act, lambda v, val=val: val_cond(val, v))
-            if not target:
-                return trace_back((dst, target, node, act))
-            key = (dst, target)
-            if key not in seen:
-                seen.add(key)
-                queue.append(((dst, target, node, act), depth + 1))
+    for depth, layer in enumerate(_layers(left, right, cond, both, counting)):
+        failures = []
+        for word in layer:
+            found = disagreement(word[2], word[3], depth)
+            if found is not None:
+                failures.append((_spelling(word), found))
+        if failures:
+            (actions, labels), (side, terminal) = min(failures)
+            return tuple(frozenset(lab) for lab in labels), actions, terminal, side
+        if depth == max_len:
+            return None
     return None
 
 
-def _vc_subset(vl: frozenset[str], vr: frozenset[str]) -> bool:
-    return vl <= vr
+def _vc_subset(vl: Label, vr: Label) -> bool:
+    return set(vl).issubset(vr)
 
 
-def _vc_equal(vl: frozenset[str], vr: frozenset[str]) -> bool:
-    return vl == vr
+# relation: (label condition, words spelled by both sides, runs counted,
+# terminal ends compared)
+_SEARCHES: dict[str, tuple[Condition, bool, bool, bool]] = {
+    "tr": (_vc_subset, False, False, False),
+    "ltr": (operator.eq, False, False, False),
+    "cltr": (operator.eq, False, False, True),
+    "gltr": (operator.eq, True, True, False),
+    "rt": (operator.eq, True, False, False),
+}
 
 
 # --- relation verdicts ------------------------------------------------------
@@ -357,25 +385,6 @@ class RelationVerdict:
         return f"{render_trace(self.witness)}  ({side})"
 
 
-def _check_inclusion(
-    a: PointedStructure,
-    b: PointedStructure,
-    val_cond,
-    max_len: Optional[int],
-    complete_max: Optional[int],
-) -> Optional[LabelledTrace]:
-    return _inclusion_witness(
-        build_trace_automaton(a), build_trace_automaton(b), val_cond, max_len, complete_max
-    )
-
-
-def _gltr_multisets(p: PointedStructure, k: int) -> Counter:
-    counts: Counter = Counter()
-    for run in maximal_runs(p, k):
-        counts[_trace_key(trace_of(p, run).dropped())] += 1
-    return counts
-
-
 def check_trace_relation(
     rel: Relation, a: PointedStructure, b: PointedStructure, bound: Bound
 ) -> RelationVerdict:
@@ -383,7 +392,7 @@ def check_trace_relation(
 
     tr/ltr are directed (left included in right); cltr/gltr/rt are symmetric.
     ``bound`` is a length bound, or ``"exact"`` for the unbounded decision
-    (tr/ltr/cltr only).
+    (tr/ltr/cltr only).  cltr searches left to right, then right to left.
     """
     _require_modal(a)
     _require_modal(b)
@@ -394,57 +403,22 @@ def check_trace_relation(
         raise ValueError(f"exact mode is not supported for {rel}")
     if not exact and (not isinstance(bound, int) or bound < 0):
         raise ValueError("bound must be a natural number or 'exact'")
+    if rel not in _SEARCHES:
+        raise ValueError(f"unknown relation {rel!r}")
     k: Optional[int] = None if exact else int(bound)
 
-    if rel == "tr":
-        w = _check_inclusion(a, b, _vc_subset, k, None)
-        return RelationVerdict(rel, bound, w is None, w, "left" if w is not None else None)
-
-    if rel == "ltr":
-        w = _check_inclusion(a, b, _vc_equal, k, None)
-        return RelationVerdict(rel, bound, w is None, w, "left" if w is not None else None)
-
-    if rel == "cltr":
-        complete_max = 10**9 if exact else max(k - 1, -1)
-        for (x, y, side) in ((a, b, "left"), (b, a, "right")):
-            w = _inclusion_witness(
-                build_trace_automaton(x),
-                build_trace_automaton(y),
-                _vc_equal,
-                k,
-                complete_max,
-            )
-            if w is not None:
-                return RelationVerdict(rel, bound, False, w, side)
-        return RelationVerdict(rel, bound, True)
-
-    if rel == "gltr":
-        assert k is not None
-        if a.base.valuation(a.point) != b.base.valuation(b.point):
-            w = LabelledTrace((a.base.valuation(a.point),), ())
-            return RelationVerdict(rel, bound, False, w, "left")
-        ca, cb = _gltr_multisets(a, k), _gltr_multisets(b, k)
-        if ca == cb:
-            return RelationVerdict(rel, bound, True)
-        diff = sorted(key for key in set(ca) | set(cb) if ca[key] != cb[key])
-        key = diff[0]
-        side = "left" if ca[key] > cb[key] else "right"
-        witness = LabelledTrace(
-            tuple(frozenset(v) for v in key[2]), key[1], complete=key[3]
-        )
+    if rel == "gltr" and a.base.valuation(a.point) != b.base.valuation(b.point):
+        w = LabelledTrace((a.base.valuation(a.point),), ())
+        return RelationVerdict(rel, bound, False, w, "left")
+    ta, tb = (_automaton(p, True) if rel == "rt" else build_trace_automaton(p) for p in (a, b))
+    for x, y in [(ta, tb)] + ([(tb, ta)] if rel == "cltr" else []):
+        found = _inclusion_witness(x, y, *_SEARCHES[rel], k)
+        if found is None:
+            continue
+        labels, actions, terminal, side = found
+        if x is tb:  # the second cltr pass spells the right's words
+            side = "right"
+        witness = (ReadyTrace(labels, actions) if rel == "rt"
+                   else LabelledTrace(labels, actions, terminal))
         return RelationVerdict(rel, bound, False, witness, side)
-
-    if rel == "rt":
-        assert k is not None
-        ra = traces_upto(a, k, "ready")
-        rb = traces_upto(b, k, "ready")
-        if ra == rb:
-            return RelationVerdict(rel, bound, True)
-        only = sorted(
-            ra.symmetric_difference(rb),
-            key=lambda t: (len(t), t.actions, tuple(tuple(sorted(x)) for x in t.ready_sets)),
-        )
-        w = only[0]
-        return RelationVerdict(rel, bound, False, w, "left" if w in ra else "right")
-
-    raise ValueError(f"unknown relation {rel!r}")
+    return RelationVerdict(rel, bound, True)

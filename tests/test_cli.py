@@ -49,6 +49,13 @@ class TestCheck:
         assert out.startswith("FALSE")
         assert "spoiler" in out
 
+    def test_bisim_spoiler_line_starts_at_root(self, capsys, tmp_path):
+        # with c0 renamed to z0 the root pair no longer sorts first
+        renamed = tmp_path / "fix3_z0.json"
+        renamed.write_text((FIXDIR / "fix3.json").read_text().replace('"c0"', '"z0"'))
+        code, out, _ = run_cli(capsys, "check", "--rel", "bisim", "-k", "2", str(renamed), fx("fix4"))
+        assert (code, out) == (1, "FALSE\nspoiler: (('z0', 'd0', 2), ('left', 'a', 'c1'))\n")
+
     def test_exact_cltr_witness(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--rel", "cltr", "--exact", fx("fix3"), fx("fix4"))
         assert code == 1
@@ -159,6 +166,16 @@ class TestGameAndEval:
             capsys, "game", "--type", "bf", str(tmp_path / "a.json"), str(tmp_path / "b.json")
         )
         assert code == 0 and out.strip() == "DUPLICATOR"
+
+    def test_bf_signature_mismatch(self, capsys, tmp_path):
+        for name in ("chain2", "loop"):
+            code, out, _ = run_cli(capsys, "unravel", "--comonad", "PR", "-k", "1", "--len", "2", fx(name))
+            (tmp_path / f"{name}.json").write_text(out)
+        code, out, err = run_cli(
+            capsys, "game", "--type", "bf", str(tmp_path / "chain2.json"), str(tmp_path / "loop.json")
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the back-and-forth game requires matching signatures\n"
 
     def test_eval(self, capsys, tmp_path):
         terminal = tmp_path / "terminal.json"

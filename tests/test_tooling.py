@@ -1,11 +1,14 @@
-"""The traced benchmark run binds program functions by name: a rename in
-``linspect`` must fail here, not only when that run starts."""
+"""The benchmark binds program functions by name, in the traced run and in
+its output checks: a rename in ``linspect`` must fail here, not only when the
+benchmark runs."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+CHECKS = PERFBENCH / "checks.py"
 
 
 def tracer_constants() -> dict:
@@ -34,3 +37,45 @@ def test_every_counted_method_resolves():
 
     for method in tracer_constants()["COUNTED_METHODS"]:
         assert callable(getattr(Structure, method, None)), f"Structure.{method}"
+
+
+def checks_references() -> set:
+    """(module, name) of every ``self.ls.<module>.<name>`` in
+    ``perfbench/checks.py``, also through a local ``x = self.ls.<module>``."""
+    tree = ast.parse(CHECKS.read_text())
+
+    def module_of(node):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "ls"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "self"
+        ):
+            return node.attr
+        return None
+
+    aliases = {
+        node.targets[0].id: module_of(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and module_of(node.value)
+    }
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = module_of(node.value)
+            if module is None and isinstance(node.value, ast.Name):
+                module = aliases.get(node.value.id)
+            if module is not None:
+                refs.add((module, node.attr))
+    return refs
+
+
+def test_every_checked_function_resolves():
+    refs = checks_references()
+    assert ("traces", "traces_upto") in refs and ("logic", "classify") in refs
+    for module, name in refs:
+        owner = importlib.import_module(f"linspect.{module}")
+        assert hasattr(owner, name), f"linspect.{module}.{name}"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,18 +7,123 @@ from hypothesis import strategies as st
 from linspect.fixtures import fix1, fix2, fix3, fix4, loop
 from linspect.structures import PointedStructure, Signature, Structure
 from linspect.traces import (
+    LabelledTrace,
     NonModalSignature,
+    ReadyTrace,
     Run,
     build_trace_automaton,
     check_trace_relation,
     enumerate_runs,
     maximal_runs,
     render_trace,
+    runs_upto,
     trace_of,
     traces_upto,
 )
 
 from conftest import pointed_pairs, pointed_structures
+
+
+def pointed(actions: dict, point: str, p: tuple = ()) -> PointedStructure:
+    """A structure from {action: [(src, dst), ...]}, with proposition p true
+    at the states listed in ``p``."""
+    sig = Signature((("p", 1),) + tuple((a, 2) for a in actions), modal=True)
+    states = {point, *p} | {s for pairs in actions.values() for pair in pairs for s in pair}
+    interp = dict(actions, p=[(s,) for s in p])
+    return PointedStructure(Structure(sig, tuple(sorted(states)), interp), point)
+
+
+# --- reference deciders: trace sets from run enumeration ---------------------
+
+
+def reference_runs(p: PointedStructure, k: int) -> list[Run]:
+    """Runs of length <= k, shortest first, each length in depth-first order."""
+    out: list[Run] = []
+    for n in range(k + 1):
+        def extend(states, actions):
+            if len(actions) == n:
+                out.append(Run(tuple(states), tuple(actions)))
+                return
+            for action in p.signature.actions:
+                for target in p.base.successors(states[-1], action):
+                    extend(states + [target], actions + [action])
+        extend([p.point], [])
+    return out
+
+
+def trace_key(t) -> tuple:
+    """Shortest first, then by actions, then by labels as sorted tuples."""
+    sets = t.ready_sets if isinstance(t, ReadyTrace) else t.valuations
+    return (len(t), t.actions, tuple(tuple(sorted(s)) for s in sets),
+            getattr(t, "complete", False))
+
+
+def gltr_difference(a, b, k) -> dict:
+    """Traces whose number of maximal runs differs, with the side having more;
+    the left root valuation alone if the roots' valuations differ."""
+    if a.base.valuation(a.point) != b.base.valuation(b.point):
+        return {LabelledTrace((a.base.valuation(a.point),), ()): "left"}
+    ca, cb = (Counter(trace_of(p, r).dropped() for r in maximal_runs(p, k)) for p in (a, b))
+    return {
+        t: "left" if ca[t] > cb[t] else "right" for t in ca.keys() | cb.keys() if ca[t] != cb[t]
+    }
+
+
+def rt_difference(a, b, k) -> dict:
+    ra, rb = traces_upto(a, k, "ready"), traces_upto(b, k, "ready")
+    return {t: "left" if t in ra else "right" for t in ra ^ rb}
+
+
+def cltr_difference(a, b, k) -> dict:
+    """The left's labelled traces (length <= k) and complete traces (length
+    < k) that the right lacks; if there are none, the right's that the left
+    lacks.  cltr searches left to right first."""
+
+    def lacking(x, y) -> set:
+        labelled = traces_upto(x, k, "labelled") - traces_upto(y, k, "labelled")
+        complete = traces_upto(x, k - 1, "complete") - traces_upto(y, k - 1, "complete")
+        return labelled | complete
+
+    left = lacking(a, b)
+    return dict.fromkeys(left, "left") if left else dict.fromkeys(lacking(b, a), "right")
+
+
+def ltr_difference(a, b, k) -> dict:
+    return dict.fromkeys(traces_upto(a, k, "labelled") - traces_upto(b, k, "labelled"), "left")
+
+
+def tr_difference(a, b, k) -> dict:
+    theirs = traces_upto(b, k, "labelled")
+    return {
+        t: "left"
+        for t in traces_upto(a, k, "labelled")
+        if not any(
+            u.actions == t.actions and all(x <= y for x, y in zip(t.valuations, u.valuations))
+            for u in theirs
+        )
+    }
+
+
+@st.composite
+def near_copies(draw):
+    """A structure and its copy without one edge: they differ only at depth."""
+    a = draw(pointed_structures(max_size=5))
+    edges = sorted((name, pair) for name in a.signature.actions for pair in a.base.interp[name])
+    if not edges:
+        return a, a
+    name, pair = edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+    interp = dict(a.base.interp, **{name: a.base.interp[name] - {pair}})
+    b = PointedStructure(Structure(a.signature, a.base.universe, interp), a.point)
+    return draw(st.sampled_from([(a, b), (b, a)]))
+
+
+REFERENCES = {
+    "tr": tr_difference,
+    "ltr": ltr_difference,
+    "cltr": cltr_difference,
+    "gltr": gltr_difference,
+    "rt": rt_difference,
+}
 
 
 def strip_props(p: PointedStructure) -> PointedStructure:
@@ -45,6 +152,15 @@ class TestRuns:
         s = PointedStructure(Structure(sig, ("x",), {}), "x")
         with pytest.raises(NonModalSignature):
             enumerate_runs(s, 1)
+
+    def test_long_self_loop_without_recursion(self):
+        assert enumerate_runs(loop(), 1500) == (Run(("x",) * 1501, ("a",) * 1500),)
+
+    @given(pointed_structures(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_run_order_matches_depth_first_reference(self, p, k):
+        assert list(runs_upto(p, k)) == reference_runs(p, k)
+        assert enumerate_runs(p, k) == tuple(r for r in reference_runs(p, k) if len(r) == k)
 
     def test_maximal_runs(self):
         # budget-exhausting runs only: full-depth or ending terminal
@@ -207,3 +323,73 @@ class TestRelations:
         poor = PointedStructure(Structure(sig, ("y",), {}), "y")
         assert check_trace_relation("tr", poor, rich, 2).holds
         assert not check_trace_relation("ltr", poor, rich, 2).holds
+
+
+class TestAgainstReferences:
+    """The word search against trace sets built from run enumeration."""
+
+    @pytest.mark.parametrize("rel", sorted(REFERENCES))
+    @given(st.one_of(pointed_pairs(), near_copies()), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_and_least_shortest_witness(self, rel, pair, k):
+        a, b = pair
+        verdict = check_trace_relation(rel, a, b, k)
+        difference = REFERENCES[rel](a, b, k)
+        assert verdict.holds == (not difference)
+        if difference:
+            least = min(difference, key=trace_key)
+            assert (verdict.witness, verdict.witness_side) == (least, difference[least])
+
+    # each case reaches a rule that small random pairs seldom do
+    @pytest.mark.parametrize(
+        "rel, left, right, k, expected",
+        [
+            pytest.param(
+                # "a a" is missing on the right at length 2, but "b" ends
+                # terminal on the left only at length 1
+                "cltr",
+                pointed({"a": [("x0", "x1"), ("x1", "x3")], "b": [("x0", "x2")]}, "x0"),
+                pointed({"a": [("y0", "y1"), ("y2", "y1")], "b": [("y0", "y2")]}, "y0"),
+                2,
+                "{} -b-> {} !  (only left)",
+                id="cltr-shortest-across-kinds",
+            ),
+            pytest.param(
+                # two failing words of length 2, built in the other order
+                "ltr",
+                pointed({"a": [("r", "s"), ("r", "t"), ("t", "v")], "b": [("s", "u")]},
+                        "r", p=("t",)),
+                pointed({"a": [("q", "x"), ("q", "y")], "b": []}, "q", p=("y",)),
+                2,
+                "{} -a-> {p} -a-> {}  (only left)",
+                id="least-of-one-length",
+            ),
+            pytest.param(
+                # "a b" and "a {p} a" end in the same states on both sides;
+                # the lesser must be kept for the failing "c" after it
+                "ltr",
+                pointed({"a": [("r", "s"), ("r", "t"), ("t", "u")], "b": [("s", "u")],
+                         "c": [("u", "v")]}, "r", p=("t",)),
+                pointed({"a": [("q", "x"), ("q", "y"), ("y", "w")], "b": [("x", "w")],
+                         "c": []}, "q", p=("y",)),
+                3,
+                "{} -a-> {p} -a-> {} -c-> {}  (only left)",
+                id="lesser-of-same-ends",
+            ),
+            pytest.param(
+                # terminality at depth k is not observed at bound k
+                "cltr", fix3(), fix4(), 1, None, id="cltr-terminal-at-bound",
+            ),
+            pytest.param(
+                # two runs into one state count twice
+                "gltr",
+                pointed({"a": [("r", "x"), ("r", "y"), ("x", "z"), ("y", "z")]}, "r"),
+                pointed({"a": [("q", "x"), ("q", "y"), ("x", "z"), ("y", "w")]}, "q"),
+                2,
+                None,
+                id="gltr-merged-runs",
+            ),
+        ],
+    )
+    def test_fixed_case(self, rel, left, right, k, expected):
+        assert check_trace_relation(rel, left, right, k).render_witness() == expected
