@@ -7,6 +7,7 @@ deterministic given its inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,9 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing leaves no state
+    in it, so every ``main`` call shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - the contract maps errors to exit 2

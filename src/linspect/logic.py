@@ -19,55 +19,72 @@ from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_
 
 
 class Formula:
-    """Base class; concrete nodes are frozen dataclasses."""
+    """Base class; concrete nodes are frozen, slotted dataclasses.
+
+    Each node keeps its rendered text in ``_text``, filled on the first
+    ``render_formula`` call; the hash is that text's, which Python caches.
+    Equality stays field equality, so ``Prop("tt")`` and ``TT`` differ.
+    """
+
+    __slots__ = ("_text",)
 
     def __str__(self) -> str:  # pragma: no cover - delegated
         return render_formula(self)
 
+    def __hash__(self) -> int:
+        return hash(render_formula(self))
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """Make ``cls`` a frozen, slotted formula node hashed by its text."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Verum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class NegProp(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Dia(Formula):
     action: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     action: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class GDia(Formula):
     """Graded diamond: at least / at most ``count`` successors satisfy the body."""
 
@@ -83,7 +100,7 @@ class GDia(Formula):
             raise ValueError("graded bound must be >= 0")
 
 
-@dataclass(frozen=True)
+@_node
 class Deadlock(Formula):
     pass
 
@@ -187,6 +204,35 @@ def parse_formula(text: str) -> Formula:
 
 
 def render_formula(f: Formula) -> str:
+    """The s-expression text of ``f``, rendered once per node and cached."""
+    try:
+        return f._text
+    except AttributeError:
+        pass
+    # children first, stopping at nodes already rendered
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        try:
+            text = _render_node(g)
+        except AttributeError:  # a child has no text yet
+            stack.extend(c for c in _children(g) if not hasattr(c, "_text"))
+            continue
+        object.__setattr__(g, "_text", text)
+        stack.pop()
+    return f._text
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or)):
+        return f.items
+    if isinstance(f, (Dia, Box, GDia)):
+        return (f.body,)
+    return ()
+
+
+def _render_node(f: Formula) -> str:
+    """The text of ``f`` from the cached text of its children."""
     if isinstance(f, Verum):
         return "tt"
     if isinstance(f, Falsum):
@@ -196,15 +242,15 @@ def render_formula(f: Formula) -> str:
     if isinstance(f, NegProp):
         return f"(not {f.name})"
     if isinstance(f, And):
-        return "(and " + " ".join(render_formula(g) for g in f.items) + ")"
+        return "(and " + " ".join(g._text for g in f.items) + ")"
     if isinstance(f, Or):
-        return "(or " + " ".join(render_formula(g) for g in f.items) + ")"
+        return "(or " + " ".join(g._text for g in f.items) + ")"
     if isinstance(f, Dia):
-        return f"(dia {f.action} {render_formula(f.body)})"
+        return f"(dia {f.action} {f.body._text})"
     if isinstance(f, Box):
-        return f"(box {f.action} {render_formula(f.body)})"
+        return f"(box {f.action} {f.body._text})"
     if isinstance(f, GDia):
-        return f"(gdia {f.cmp} {f.count} {f.action} {render_formula(f.body)})"
+        return f"(gdia {f.cmp} {f.count} {f.action} {f.body._text})"
     if isinstance(f, Deadlock):
         return "(deadlock)"
     raise TypeError(f"not a formula: {f!r}")
@@ -228,12 +274,15 @@ def _check_symbols(f: Formula, p: PointedStructure) -> None:
 
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, (And, Or)):
-        for g in f.items:
-            yield from iter_subformulas(g)
-    elif isinstance(f, (Dia, Box, GDia)):
-        yield from iter_subformulas(f.body)
+    """Every subformula occurrence, in pre-order, without recursion."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or)):
+            stack.extend(reversed(g.items))
+        elif isinstance(g, (Dia, Box, GDia)):
+            stack.append(g.body)
 
 
 def eval_formula(f: Formula, p: PointedStructure) -> bool:

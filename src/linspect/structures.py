@@ -3,16 +3,25 @@
 Element ids are opaque strings.  Universes are ordered lists so that every
 enumeration downstream (run listing, morphism search, trace sets) is
 deterministic across runs.
+
+A ``Structure`` answers ``successors``, ``valuation`` and ``enabled_actions``
+from indexes built on the first call of each, from the relation tuples, so a
+query costs a dictionary lookup instead of a scan of a relation.  They are
+lazy because many structures (products, induced substructures, pointed
+copies) are built and never queried.  A ``Signature`` computes its name
+tuples once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
 Tuple_ = tuple[str, ...]
+_EMPTY: frozenset[str] = frozenset()
 
 
 class SignatureMismatch(ValueError):
@@ -50,16 +59,16 @@ class Signature:
                 return ar
         raise KeyError(name)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.relations)
 
-    @property
+    @cached_property
     def propositions(self) -> tuple[str, ...]:
         """Unary relation names (valuations), in declaration order."""
         return tuple(name for name, ar in self.relations if ar == 1)
 
-    @property
+    @cached_property
     def actions(self) -> tuple[str, ...]:
         """Binary relation names (transitions), in declaration order."""
         return tuple(name for name, ar in self.relations if ar == 2)
@@ -87,22 +96,50 @@ class Structure:
 
     def valuation(self, element: str) -> frozenset[str]:
         """The set of unary relation names holding at ``element``."""
-        return frozenset(
-            p for p in self.signature.propositions if (element,) in self.interp[p]
-        )
+        return self._valuations.get(element, _EMPTY)
 
     def successors(self, element: str, action: str) -> tuple[str, ...]:
         """Targets of ``action``-transitions out of ``element``, in universe order."""
-        targets = {b for (a, b) in self.interp[action] if a == element}
-        return tuple(x for x in self.universe if x in targets)
+        return self._successors[action].get(element, ())
 
     def enabled_actions(self, element: str) -> frozenset[str]:
         """The ready set: actions with at least one transition out of ``element``."""
-        return frozenset(
-            act
-            for act in self.signature.actions
-            if any(a == element for (a, _) in self.interp[act])
-        )
+        return self._enabled.get(element, _EMPTY)
+
+    @cached_property
+    def _valuations(self) -> dict[str, frozenset[str]]:
+        holding: dict[str, set[str]] = {}
+        for p in self.signature.propositions:
+            for (e,) in self.interp[p]:
+                holding.setdefault(e, set()).add(p)
+        # built in declaration order, as a scan of the propositions would be
+        return {
+            e: frozenset(p for p in self.signature.propositions if p in props)
+            for e, props in holding.items()
+        }
+
+    @cached_property
+    def _successors(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        index = {}
+        for act in self.signature.actions:
+            sources: dict[str, list[str]] = {}
+            for a, b in self.interp[act]:
+                sources.setdefault(b, []).append(a)
+            targets: dict[str, list[str]] = {}
+            for x in self.universe:
+                for a in sources.get(x, ()):
+                    targets.setdefault(a, []).append(x)
+            index[act] = {a: tuple(xs) for a, xs in targets.items()}
+        return index
+
+    @cached_property
+    def _enabled(self) -> dict[str, frozenset[str]]:
+        sources = {act: {a for a, _ in self.interp[act]} for act in self.signature.actions}
+        every = set().union(*sources.values())
+        return {
+            e: frozenset(act for act in self.signature.actions if e in sources[act])
+            for e in every
+        }
 
     def is_terminal(self, element: str) -> bool:
         return not self.enabled_actions(element)
@@ -194,7 +231,8 @@ def _distances_from(s: Structure, a: str) -> dict[str, int]:
 
 def induced(s: Structure, keep: Iterable[str]) -> Structure:
     """Induced substructure on ``keep`` (order inherited from the universe)."""
-    kept = [e for e in s.universe if e in set(keep)]
+    keep = set(keep)
+    kept = [e for e in s.universe if e in keep]
     kset = set(kept)
     interp = {
         name: frozenset(t for t in tuples if all(e in kset for e in t))

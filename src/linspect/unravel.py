@@ -84,9 +84,8 @@ class ForestObject:
     @property
     def linear(self) -> bool:
         """True iff every up-set of a non-root node is a chain."""
-        return all(
-            len(self._children[n]) <= 1 for n in self.nodes if n not in set(self.roots)
-        )
+        roots = set(self.roots)
+        return all(len(self._children[n]) <= 1 for n in self.nodes if n not in roots)
 
     def node_count(self) -> int:
         return len(self.nodes)

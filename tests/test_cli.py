@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from linspect import cli
 from linspect.cli import main
 from linspect.fixtures import ALL_PLAIN, ALL_POINTED, write_fixture_files
 from linspect.games import solve_bisim
@@ -301,3 +302,42 @@ class TestReadyTraceCommand:
     def test_rt_reflexive(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--rel", "rt", "-k", "3", fx("fix1"), fx("fix1"))
         assert code == 0 and out.startswith("TRUE")
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process; its answers must equal
+    those of a parser built for each call."""
+
+    SEQUENCE = (
+        ("check", "--rel", "cltr", "--exact", fx("fix3"), fx("fix4")),
+        ("check", "--rel", "cltr", "-k", "0", fx("fix3"), fx("fix4")),
+        ("verify", "--suite", "nope"),
+        ("check", "--rel", "tr", "-k", "2", fx("fix1"), fx("fix2")),
+    )
+
+    def outputs(self, capsys):
+        results = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    def test_shared_parser_answers_like_fresh_ones(self, capsys, monkeypatch):
+        shared = self.outputs(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == self.outputs(capsys)
+        assert shared[2][0] == ("exit", 2) and "invalid choice: 'nope'" in shared[2][2]
+        assert [code for code, _, _ in shared] == [1, 0, ("exit", 2), 0]
+
+    def test_main_builds_no_parser_per_call(self, capsys, monkeypatch):
+        main(["check", "--rel", "tr", "-k", "1", fx("fix1"), fx("fix2")])
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+        for k in ("0", "1", "2"):
+            main(["check", "--rel", "tr", "-k", k, fx("fix1"), fx("fix2")])
+        capsys.readouterr()
+        assert built == []

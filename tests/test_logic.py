@@ -19,6 +19,7 @@ from linspect.logic import (
     classify,
     conj,
     eval_formula,
+    iter_subformulas,
     modal_depth,
     parse_formula,
     render_formula,
@@ -27,6 +28,7 @@ from linspect.logic import (
     synth_ready_formula,
     synth_trace_formula,
 )
+from linspect.oracle import _enumerate_deadlock_formulas
 from linspect.structures import PointedStructure, Signature, Structure
 from linspect.traces import Run, ReadyTrace, check_trace_relation, runs_upto
 
@@ -73,6 +75,49 @@ class TestGrammar:
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, f):
         assert parse_formula(render_formula(f)) == f
+
+
+class TestFormulaNodes:
+    @given(formulas)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_formulas_hash_equal(self, f):
+        # f has its text cached, the copy is hashed before it is rendered
+        g = parse_formula(render_formula(f))
+        assert g == f and hash(g) == hash(f) and {f, g} == {f}
+
+    def test_equal_text_distinct_nodes(self):
+        assert render_formula(Prop("tt")) == render_formula(TT)
+        assert Prop("tt") != TT and len({Prop("tt"), TT}) == 2
+        assert len({Prop("ff"), FF, Dia("a", Prop("tt")), Dia("a", TT)}) == 4
+
+    def test_deadlock_fragment_round_trip(self):
+        fs = _enumerate_deadlock_formulas(2, ("p", "q"), ("a", "b"))
+        assert len(fs) == len(set(fs)) == 23994
+        for f in fs:
+            assert parse_formula(render_formula(f)) == f
+
+    def test_subformulas_of_deep_chain(self):
+        chain = Prop("p")
+        for _ in range(5000):
+            chain = Dia("a", chain)
+        nodes = list(iter_subformulas(chain))
+        assert len(nodes) == 5001
+        assert all(g.body is h for g, h in zip(nodes, nodes[1:]))
+
+    def test_render_deeper_than_recursion_limit(self):
+        # every node keeps its text, so a chain costs quadratic memory: keep it short
+        chain = Prop("p")
+        for _ in range(1500):
+            chain = Dia("a", chain)
+        assert render_formula(chain) == "(dia a " * 1500 + "p" + ")" * 1500
+        assert render_formula(chain.body.body).startswith("(dia a " * 1498 + "p)")
+
+    def test_subformulas_in_pre_order(self):
+        f = parse_formula("(and p (dia a (or q (not p))) (gdia >= 2 b tt))")
+        assert [render_formula(g) for g in iter_subformulas(f)] == [
+            render_formula(f), "p", "(dia a (or q (not p)))", "(or q (not p))",
+            "q", "(not p)", "(gdia >= 2 b tt)", "tt",
+        ]
 
 
 class TestEval:

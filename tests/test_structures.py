@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linspect.fixtures import fix4, fix5, MODAL_SIG
+from linspect.fixtures import fix1, fix4, fix5, MODAL_SIG
 from linspect.structures import (
     FormatError,
     PointedStructure,
@@ -18,11 +18,14 @@ from linspect.structures import (
     distance,
     dump_structure,
     gaifman_graph,
+    induced,
     product,
     structure_from_dict,
     structure_to_dict,
     validate,
 )
+
+from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_structures, plain_structures
 
@@ -292,3 +295,73 @@ class TestAssociativity:
             lt = {tuple(lmap[e] for e in t) for t in left.interp[name]}
             rt = {tuple(rmap[e] for e in t) for t in right.interp[name]}
             assert lt == rt
+
+
+class TestInduced:
+    def test_one_shot_iterable(self):
+        s = fix1().base
+        assert induced(s, iter(s.universe)).universe == s.universe
+        kept = induced(s, (e for e in s.universe if e != s.universe[0]))
+        assert kept.universe == s.universe[1:]
+
+
+# The linear scans that the indexed queries replaced, kept as references.
+
+
+def ref_valuation(s: Structure, element: str) -> frozenset:
+    return frozenset(p for p in s.signature.propositions if (element,) in s.interp[p])
+
+
+def ref_successors(s: Structure, element: str, action: str) -> tuple:
+    targets = {b for (a, b) in s.interp[action] if a == element}
+    return tuple(x for x in s.universe if x in targets)
+
+
+def ref_enabled_actions(s: Structure, element: str) -> frozenset:
+    return frozenset(
+        act for act in s.signature.actions if any(a == element for (a, _) in s.interp[act])
+    )
+
+
+@st.composite
+def constructed(draw):
+    """A structure from one of the constructions, with a few query elements
+    from outside its universe."""
+    p = draw(pointed_structures(n_props=2))
+    q = draw(pointed_structures(n_props=2))
+    kind = draw(st.sampled_from(["plain", "induced", "union", "product", "unravel"]))
+    if kind == "plain":
+        s = p.base
+    elif kind == "induced":
+        keep = draw(st.lists(st.sampled_from(p.base.universe), unique=True))
+        s = induced(p.base, (e for e in keep))
+    elif kind == "union":
+        s = disjoint_union(p.base, q.base)
+    elif kind == "product":
+        s = product(p, q).base
+    else:
+        s = as_pointed(ml_unravel(p, draw(st.integers(min_value=0, max_value=2)))[0]).base
+    outside = [e for e in p.base.universe + q.base.universe + ("nowhere",) if e not in s.universe]
+    return s, outside
+
+
+class TestIndexedQueries:
+    @given(constructed())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_equal_linear_scans(self, case):
+        s, outside = case
+        for e in s.universe + tuple(outside):
+            assert s.valuation(e) == ref_valuation(s, e)
+            assert s.enabled_actions(e) == ref_enabled_actions(s, e)
+            assert s.is_terminal(e) == (not ref_enabled_actions(s, e))
+            for act in s.signature.actions:
+                assert s.successors(e, act) == ref_successors(s, e, act)
+        with pytest.raises(KeyError):
+            s.successors(s.universe[0] if s.universe else "nowhere", "no-such-action")
+
+    def test_successors_in_universe_order(self):
+        s = Structure(MODAL_SIG, ("z", "y", "x"), {"a": frozenset({("x", "x"), ("x", "z"), ("x", "y")})})
+        assert s.successors("x", "a") == ("z", "y", "x")
+        assert s.successors("y", "a") == ()
+        assert s.enabled_actions("x") == frozenset({"a"})
+        assert s.is_terminal("nowhere")

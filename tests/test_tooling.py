@@ -79,3 +79,28 @@ def test_every_checked_function_resolves():
     for module, name in refs:
         owner = importlib.import_module(f"linspect.{module}")
         assert hasattr(owner, name), f"linspect.{module}.{name}"
+
+
+def test_traced_bisim_counts_structure_queries(capsys):
+    """The tracer counts the public ``Structure`` queries; code that bypassed
+    them would read zero in the per-layer metrics."""
+    import importlib.util
+
+    from linspect.cli import main
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        code = main(["check", "--rel", "bisim", "-k", "2", str(fixtures / "fix1.json"), str(fixtures / "fix2.json")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 1
+    metrics = tracer.metrics(1)
+    assert metrics["structures.successors.calls"] > 0
+    assert metrics["structures.valuation.calls"] > 0
+    assert metrics["games.bisim.calls"] == 1
