@@ -1,6 +1,9 @@
 """Brute-force reference implementations (morphism / embedding / span /
 isomorphism search over forest objects) and the executable verification suites.
 
+One bottom-up labelling, ``_canon_ids``, decides isomorphism of forests and of
+tree-shaped pointed structures at any depth.
+
 Every suite draws reproducible samples via the seed protocol
 ``seed + sample_index`` and evaluates each claim through independent code
 paths, reporting agreements and the first counterexample found.
@@ -145,50 +148,51 @@ def _pebbled_mapping_search(
     return mapping
 
 
-def _modal_canon(f: ForestObject, node: str) -> tuple:
-    return (
-        tuple(sorted(f.valuation[node])),
-        f.action_in.get(node),
-        tuple(sorted(_modal_canon(f, c) for c in f.children(node))),
-    )
+def _canon_ids(roots, children, label) -> tuple[dict[str, int], tuple]:
+    """Tree-isomorphism labelling (Aho, Hopcroft and Ullman, 1974): each node
+    below ``roots`` gets an int id naming its subtree, up to isomorphism, among
+    the nodes at its depth.  Deepest level first, each level's distinct (label,
+    sorted child ids) keys are sorted and numbered on, so no name or order
+    enters.  Also returns the flat canon: the keys in id order and the sorted
+    root ids."""
+    levels = [list(roots)]
+    while levels[-1]:
+        levels.append([c for n in levels[-1] for c in children(n)])
+    ids: dict[str, int] = {}
+    table: list[tuple] = []
+    for level in reversed(levels):
+        keys = [(label(n), tuple(sorted([ids[c] for c in children(n)]))) for n in level]
+        distinct = sorted(set(keys))
+        number = {key: i for i, key in enumerate(distinct, len(table))}
+        table += distinct
+        ids.update(zip(level, map(number.__getitem__, keys)))
+    return ids, (tuple(table), tuple(sorted([ids[r] for r in roots])))
 
 
-def _pebbled_chain_canon(f: ForestObject, leaf: str) -> tuple:
-    chain = f.path_to_root(leaf)
-    pos = {n: i for i, n in enumerate(chain)}
-    rels = []
-    for name in sorted(f.interp):
-        for t in f.interp[name]:
-            if all(e in pos for e in t):
-                rels.append((name, tuple(pos[e] for e in t)))
-    return (tuple(f.pebble[n] for n in chain), tuple(sorted(rels)))
+def _forest_ids(f: ForestObject) -> tuple[dict[str, int], tuple]:
+    """``_canon_ids`` of a forest.  A modal node's label is its sorted valuation
+    and incoming action, "" at a root.  A pebbled node's label is its pebble and
+    the relation tuples whose deepest element it is, as offsets upward; tuples
+    that leave one chain are ignored."""
+    if f.kind == "modal":
+        return _canon_ids(
+            f.roots, f.children, lambda n: (tuple(sorted(f.valuation[n])), f.action_in.get(n, ""))
+        )
+    closes: dict[str, list[tuple]] = {n: [] for n in f.nodes}
+    for name, rel in f.interp.items():
+        for t in rel:
+            deepest = max(t, key=f.depth)
+            up = [deepest]  # and its ancestors as high as t reaches
+            while len(up) <= f.depth(deepest) - min(map(f.depth, t)):
+                up.append(f.parent[up[-1]])
+            if set(t) <= set(up):
+                closes[deepest].append((name, tuple(up.index(e) for e in t)))
+    return _canon_ids(f.roots, f.children, lambda n: (f.pebble[n], tuple(sorted(closes[n]))))
 
 
 def forest_canon(f: ForestObject) -> tuple:
-    if f.kind == "modal":
-        return tuple(sorted(_modal_canon(f, r) for r in f.roots))
-    return tuple(
-        sorted(_pebbled_chain_canon(f, n) for n in f.nodes if f.is_leaf(n))
-    )
-
-
-def _modal_iso_mapping(x: ForestObject, y: ForestObject) -> Optional[dict]:
-    if forest_canon(x) != forest_canon(y):
-        return None
-    mapping: dict[str, str] = {}
-
-    def pair(u: str, v: str) -> None:
-        mapping[u] = v
-        xs = sorted(x.children(u), key=lambda c: (_modal_canon(x, c), c))
-        ys = sorted(y.children(v), key=lambda c: (_modal_canon(y, c), c))
-        for cu, cv in zip(xs, ys):
-            pair(cu, cv)
-
-    xr = sorted(x.roots, key=lambda r: (_modal_canon(x, r), r))
-    yr = sorted(y.roots, key=lambda r: (_modal_canon(y, r), r))
-    for ru, rv in zip(xr, yr):
-        pair(ru, rv)
-    return mapping
+    """A flat value, equal for two forests exactly when they are isomorphic."""
+    return _forest_ids(f)[1]
 
 
 def _pair_forest(x: ForestObject, y: ForestObject) -> dict[tuple, list[tuple]]:
@@ -294,20 +298,20 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
         mapping = search(x, y, kind)
         return None if mapping is None else MorphismWitness(kind, mapping)
     if kind == "isomorphism":
-        if x.kind == "modal":
-            mapping = _modal_iso_mapping(x, y)
-            return None if mapping is None else MorphismWitness(kind, mapping)
-        if forest_canon(x) != forest_canon(y):
+        if len(x.nodes) != len(y.nodes):
             return None
-        def chains(f: ForestObject) -> list[tuple[str, ...]]:
-            return sorted(
-                (f.path_to_root(n) for n in f.nodes if f.is_leaf(n)),
-                key=lambda c: (_pebbled_chain_canon(f, c[-1]), c),
-            )
-        mapping = {}
-        for cx, cy in zip(chains(x), chains(y)):
-            mapping.update(dict(zip(cx, cy)))
-        return MorphismWitness(kind, mapping)
+        (xids, xcanon), (yids, ycanon) = _forest_ids(x), _forest_ids(y)
+        if xcanon != ycanon:
+            return None
+
+        def ranked(ids: dict[str, int], nodes) -> list[str]:
+            return sorted(nodes, key=lambda n: (ids[n], n))
+
+        # equal ids pair up, top down; ties go by name
+        pairs = list(zip(ranked(xids, x.roots), ranked(yids, y.roots)))
+        for u, v in pairs:
+            pairs.extend(zip(ranked(xids, x.children(u)), ranked(yids, y.children(v))))
+        return MorphismWitness(kind, dict(pairs))
     if kind == "open_span":
         if x.kind != "modal":
             raise ValueError("open_span search is implemented for modal forests")
@@ -547,30 +551,22 @@ def _pointed_tree_canon(p: PointedStructure) -> Optional[tuple]:
     for act in p.signature.actions:
         for (src, dst) in p.base.interp[act]:
             incoming[dst].append((act, src))
-    if incoming[p.point]:
+    if incoming.pop(p.point) or any(len(edges) != 1 for edges in incoming.values()):
         return None
-    children: dict[str, list[tuple[str, str]]] = {e: [] for e in p.base.universe}
-    for e in p.base.universe:
-        if e == p.point:
-            continue
-        if len(incoming[e]) != 1:
-            return None
-        act, par = incoming[e][0]
-        if par == e:
-            return None
-        children[par].append((act, e))
-    # unique incoming edges make the reachable part cycle-free
-    seen: set[str] = set()
-
-    def canon(e: str) -> tuple:
-        seen.add(e)
-        kids = sorted((act, canon(c)) for act, c in children[e])
-        return (tuple(sorted(p.base.valuation(e))), tuple(kids))
-
-    result = canon(p.point)
-    if len(seen) != len(p.base.universe):
+    children: dict[str, list[str]] = {e: [] for e in p.base.universe}
+    action_in: dict[str, str] = {}
+    for e, [(act, par)] in incoming.items():
+        action_in[e] = act
+        children[par].append(e)
+    # unique incoming edges leave cycles, self-loops too, out of the point's tree
+    ids, canon = _canon_ids(
+        (p.point,),
+        children.__getitem__,
+        lambda e: (tuple(sorted(p.base.valuation(e))), action_in.get(e, "")),
+    )
+    if len(ids) != len(p.base.universe):
         return None
-    return result
+    return canon
 
 
 def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:

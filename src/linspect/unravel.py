@@ -48,13 +48,17 @@ class ForestObject:
         self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
         for child, par in self.parent.items():
             self._children[par].append(child)
-        for n, par in self.parent.items():
-            seen = {n}
-            while par is not None:
-                if par in seen:
-                    raise ValueError(f"parent cycle through {n!r}")
-                seen.add(par)
-                par = self.parent.get(par)
+        # one walk down from the parentless nodes; a child it misses has a
+        # parent cycle above it
+        self._depth = {n: 0 for n in self.nodes if n not in self.parent}
+        order = list(self._depth)
+        for n in order:
+            for c in self._children.get(n, ()):
+                self._depth[c] = self._depth[n] + 1
+                order.append(c)
+        for n in self.parent:
+            if n not in self._depth:
+                raise ValueError(f"parent cycle through {n!r}")
         rootset = set(self.roots)
         for n in self.nodes:
             if (n in self.parent) == (n in rootset):
@@ -67,11 +71,7 @@ class ForestObject:
         return not self._children[node]
 
     def depth(self, node: str) -> int:
-        d = 0
-        while node in self.parent:
-            node = self.parent[node]
-            d += 1
-        return d
+        return self._depth[node]
 
     def path_to_root(self, node: str) -> tuple[str, ...]:
         """The down-set of ``node`` as a root-first chain."""

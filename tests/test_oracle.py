@@ -9,19 +9,28 @@ from linspect.fixtures import fix1, fix2, fix3, fix4, loop
 from linspect.games import solve_back_and_forth, solve_bisim
 from linspect.logic import parse_formula
 from linspect.oracle import (
+    _pointed_tree_canon,
     check_open_embedding,
     find_morphism,
     forest_canon,
     pointed_iso,
     replay_prop86,
     run_suite,
+    suite_signature,
     workspace,
 )
-from linspect.structures import ball, pointed_sum
+from linspect.structures import PointedStructure, Signature, Structure, ball, pointed_sum
 from linspect.traces import check_trace_relation
-from linspect.unravel import as_pointed, ml_unravel, tree_unravel
+from linspect.unravel import (
+    ForestObject,
+    _modal_forest,
+    as_pointed,
+    ml_unravel,
+    pr_unravel,
+    tree_unravel,
+)
 
-from conftest import pointed_pairs, seeded_pair
+from conftest import plain_structures, pointed_pairs, seeded_pair
 
 
 class TestFindMorphism:
@@ -319,3 +328,202 @@ class TestPointedIsoPaths:
             Structure(sig, ("x", "y"), {"a": frozenset({("x", "y")})}), "x"
         )
         assert _pointed_tree_canon(s) is None
+
+
+# --- reference oracles ----------------------------------------------------------
+# The recursive per-node canons that the bottom-up labelling replaced.  They
+# are exact at small depth; the one labelling must agree with them there.
+
+
+def ref_modal_canon(f, node):
+    return (
+        tuple(sorted(f.valuation[node])),
+        f.action_in.get(node),
+        tuple(sorted(ref_modal_canon(f, c) for c in f.children(node))),
+    )
+
+
+def ref_pebbled_chain_canon(f, leaf):
+    chain = f.path_to_root(leaf)
+    pos = {n: i for i, n in enumerate(chain)}
+    rels = []
+    for name in sorted(f.interp):
+        for t in f.interp[name]:
+            if all(e in pos for e in t):
+                rels.append((name, tuple(pos[e] for e in t)))
+    return (tuple(f.pebble[n] for n in chain), tuple(sorted(rels)))
+
+
+def ref_forest_canon(f):
+    if f.kind == "modal":
+        return tuple(sorted(ref_modal_canon(f, r) for r in f.roots))
+    return tuple(sorted(ref_pebbled_chain_canon(f, n) for n in f.nodes if f.is_leaf(n)))
+
+
+def ref_iso_mapping(x, y):
+    """Children paired by recursive canon for modal forests, whole chains
+    paired by chain canon for pebbled ones."""
+    if ref_forest_canon(x) != ref_forest_canon(y):
+        return None
+    mapping = {}
+    if x.kind == "modal":
+
+        def pair(u, v):
+            mapping[u] = v
+            xs = sorted(x.children(u), key=lambda c: (ref_modal_canon(x, c), c))
+            ys = sorted(y.children(v), key=lambda c: (ref_modal_canon(y, c), c))
+            for cu, cv in zip(xs, ys):
+                pair(cu, cv)
+
+        xr = sorted(x.roots, key=lambda r: (ref_modal_canon(x, r), r))
+        yr = sorted(y.roots, key=lambda r: (ref_modal_canon(y, r), r))
+        for ru, rv in zip(xr, yr):
+            pair(ru, rv)
+        return mapping
+
+    def chains(f):
+        return sorted(
+            (f.path_to_root(n) for n in f.nodes if f.is_leaf(n)),
+            key=lambda c: (ref_pebbled_chain_canon(f, c[-1]), c),
+        )
+
+    for cx, cy in zip(chains(x), chains(y)):
+        mapping.update(dict(zip(cx, cy)))
+    return mapping
+
+
+def ref_pointed_tree_canon(p):
+    if any(arity > 2 for _, arity in p.signature.relations):
+        return None
+    incoming = {e: [] for e in p.base.universe}
+    for act in p.signature.actions:
+        for (src, dst) in p.base.interp[act]:
+            incoming[dst].append((act, src))
+    if incoming[p.point]:
+        return None
+    children = {e: [] for e in p.base.universe}
+    for e in p.base.universe:
+        if e == p.point:
+            continue
+        if len(incoming[e]) != 1:
+            return None
+        act, par = incoming[e][0]
+        if par == e:
+            return None
+        children[par].append((act, e))
+    seen = set()
+
+    def canon(e):
+        seen.add(e)
+        kids = sorted((act, canon(c)) for act, c in children[e])
+        return (tuple(sorted(p.base.valuation(e))), tuple(kids))
+
+    result = canon(p.point)
+    return result if len(seen) == len(p.base.universe) else None
+
+
+def ref_pointed_iso(p, q):
+    cp, cq = ref_pointed_tree_canon(p), ref_pointed_tree_canon(q)
+    if cp is None and cq is None:
+        return pointed_iso(p, q)  # both sides take the same backtracking search
+    return cp == cq
+
+
+def renamed(s: Structure) -> Structure:
+    """An isomorphic copy whose element names sort in the reverse order."""
+    ren = {e: f"x{len(s.universe) - i}" for i, e in enumerate(s.universe)}
+    interp = {name: {tuple(ren[e] for e in t) for t in ts} for name, ts in s.interp.items()}
+    return Structure(s.signature, tuple(ren[e] for e in s.universe), interp)
+
+
+def assert_canon_and_mapping_agree(x, y):
+    assert (forest_canon(x) == forest_canon(y)) == (ref_forest_canon(x) == ref_forest_canon(y))
+    witness = find_morphism(x, y, "isomorphism")
+    assert (None if witness is None else witness.mapping) == ref_iso_mapping(x, y)
+
+
+class TestOneLabellingAgreesWithReferences:
+    @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_modal_unravelings(self, pair, k):
+        a, b = pair
+        copy = renamed(a.base)
+        a2 = PointedStructure(copy, copy.universe[0])
+        interp = a.base.interp
+        swapped = {**interp, "a": interp["b"], "b": interp["a"]}
+        a3 = PointedStructure(Structure(a.signature, a.base.universe, swapped), a.point)
+        for unravel in (lambda p: ml_unravel(p, k)[0], lambda p: tree_unravel(p, k)):
+            x, y, x2, x3 = unravel(a), unravel(b), unravel(a2), unravel(a3)
+            for left, right in ((x, y), (y, x), (x, x2), (x2, y), (x, x3)):
+                assert_canon_and_mapping_agree(left, right)
+            for p in (a, b, a2, as_pointed(x), as_pointed(y), as_pointed(x2)):
+                assert (_pointed_tree_canon(p) is None) == (ref_pointed_tree_canon(p) is None)
+            ux, uy, ux2, ux3 = (as_pointed(f) for f in (x, y, x2, x3))
+            for p, q in ((ux, uy), (ux, ux2), (ux, ux3), (a, b)):
+                assert pointed_iso(p, q) == ref_pointed_iso(p, q)
+
+    @given(
+        plain_structures(max_size=2),
+        plain_structures(max_size=2),
+        st.integers(min_value=1, max_value=2),
+        st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pebbled_unravelings(self, s, t, k, n):
+        reversed_r = {**s.interp, "R": {edge[::-1] for edge in s.interp["R"]}}
+        sources = (s, t, renamed(s), Structure(s.signature, s.universe, reversed_r))
+        x, y, x2, x3 = (pr_unravel(u, k, n)[0] for u in sources)
+        for left, right in ((x, y), (y, x), (x, x2), (x2, y), (x, x3)):
+            assert_canon_and_mapping_agree(left, right)
+
+
+class TestPebbledIsomorphismIsABijection:
+    def test_branching_root_against_two_chains(self):
+        """Two chains root-to-leaf that share their root are not two chains."""
+        sig = Signature((("R", 2),))
+
+        def forest(parent, roots):
+            nodes = tuple(roots) + tuple(parent)
+            pebble = {n: 1 if n in roots else 2 for n in nodes}
+            return ForestObject(
+                "pebbled", sig, nodes, parent, roots, {"R": frozenset()},
+                origin={n: "e" for n in nodes}, pebble=pebble,
+            )
+
+        x = forest({"c1": "r", "c2": "r"}, ("r",))
+        y = forest({"c1": "r", "c2": "r2"}, ("r", "r2"))
+        assert find_morphism(x, y, "isomorphism") is None
+        assert find_morphism(y, x, "isomorphism") is None
+        assert forest_canon(x) != forest_canon(y)
+
+
+DEEP = 5000
+
+
+def deep_chain(prefix: str, leaf_has_p: bool = True) -> ForestObject:
+    """A 5,001-state a-chain with ``p`` everywhere (but maybe at the leaf)."""
+
+    def steps():
+        yield f"{prefix}0", None, "s0", frozenset({"p"}), None
+        for i in range(1, DEEP + 1):
+            val = frozenset({"p"}) if i < DEEP or leaf_has_p else frozenset()
+            yield f"{prefix}{i}", f"{prefix}{i - 1}", f"s{i}", val, "a"
+
+    return _modal_forest(suite_signature(n_props=1, n_actions=1), steps(), None)
+
+
+class TestDepthFiveThousand:
+    def test_isomorphic_chains(self):
+        x, y = deep_chain("n"), deep_chain("m")
+        witness = find_morphism(x, y, "isomorphism")
+        assert witness is not None
+        assert witness.mapping == {f"n{i}": f"m{i}" for i in range(DEEP + 1)}
+        assert forest_canon(x) == forest_canon(y)
+        assert pointed_iso(as_pointed(x), as_pointed(y))
+        assert x.depth(f"n{DEEP}") == DEEP
+
+    def test_leaf_without_p(self):
+        x, y = deep_chain("n"), deep_chain("m", leaf_has_p=False)
+        assert find_morphism(x, y, "isomorphism") is None
+        assert forest_canon(x) != forest_canon(y)
+        assert not pointed_iso(as_pointed(x), as_pointed(y))

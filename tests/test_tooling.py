@@ -104,3 +104,58 @@ def test_traced_bisim_counts_structure_queries(capsys):
     assert metrics["structures.successors.calls"] > 0
     assert metrics["structures.valuation.calls"] > 0
     assert metrics["games.bisim.calls"] == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "linspect"
+
+# Functions that still call themselves by name, as module.qualname.  No
+# recursion may depend on input depth, so this list may only shrink.
+SELF_RECURSIVE = {
+    "games.replay_spoiler.defeated",
+    "games.solve_back_and_forth.win",
+    "games.solve_bisim.win",
+    "games.solve_ef.win",
+    "logic._eval_at",
+    "logic._graded_candidates.build",
+    "logic._is_linear",
+    "logic.modal_depth",
+    "logic.parse_formula.parse",
+    "logic.synth_ready_formula.build",
+    "logic.synth_trace_formula.build",
+    "oracle._enumerate_deadlock_formulas.level",
+    "oracle._modal_mapping_search.win",
+    "oracle.pointed_iso.extend",
+    "unravel.pr_unravel.extend",
+}
+
+
+def self_recursive_functions() -> set:
+    """module.qualname of every function in ``src/linspect`` whose body,
+    nested definitions included, calls a plain name equal to its own."""
+    found = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                if any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.add(f"{module}.{qualname}")
+                visit(child, module, qualname + ".")
+            else:
+                visit(child, module, prefix)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_no_new_self_recursion():
+    assert len(SELF_RECURSIVE) <= 15, "the allow-list may only shrink"
+    found = self_recursive_functions()
+    assert found - SELF_RECURSIVE == set(), "new self-recursive functions"
+    assert SELF_RECURSIVE - found == set(), "no longer recursive: drop from the list"

@@ -315,3 +315,30 @@ class TestCoreflectPebbled:
         from linspect.oracle import forest_canon
 
         assert forest_canon(again) == forest_canon(forest)
+
+
+class TestForestValidation:
+    def forest(self, nodes, parent, roots):
+        sig = Signature((("a", 2),))
+        return ForestObject("modal", sig, nodes, parent, roots, {"a": frozenset()})
+
+    def test_parent_cycle(self):
+        # the first child on or below a cycle is named, in parent-map order
+        with pytest.raises(ValueError, match=r"^parent cycle through 'c'$"):
+            self.forest(("r", "b", "c", "d"), {"c": "d", "d": "b", "b": "d"}, ("r",))
+
+    def test_cycle_through_a_listed_root(self):
+        with pytest.raises(ValueError, match=r"^parent cycle through 'r'$"):
+            self.forest(("r", "b"), {"r": "b", "b": "r"}, ("r",))
+
+    def test_root_that_is_a_child(self):
+        with pytest.raises(ValueError, match=r"^node 'b' must be exactly one of root/child$"):
+            self.forest(("r", "b"), {"b": "r"}, ("r", "b"))
+
+    def test_node_that_is_neither(self):
+        with pytest.raises(ValueError, match=r"^node 'b' must be exactly one of root/child$"):
+            self.forest(("r", "b"), {}, ("r",))
+
+    def test_depths_from_one_walk(self):
+        f = self.forest(("c", "r", "b"), {"c": "b", "b": "r"}, ("r",))
+        assert [f.depth(n) for n in ("r", "b", "c")] == [0, 1, 2]
