@@ -2,6 +2,17 @@
 classification, and formula synthesis from runs, ready traces, and failed
 relation checks.
 
+Formulas are hash-consed: a node constructor returns the live node with equal
+fields when there is one, so equality is identity and a formula is a DAG of
+shared nodes.  Two evaluators read that DAG:
+
+- ``truth_vectors`` evaluates a list of formulas over many structures at once,
+  in one bottom-up pass over the distinct nodes, each extension an int bitmask
+  over the disjoint union of the structures (global model checking);
+- ``eval_formula`` evaluates one formula locally from the point, with an
+  explicit stack memoised by (node, state), so a deep formula on a long chain
+  visits only the states it reaches.
+
 Grammar (s-expressions):
 
     tt | ff | <name> | (not <name>) | (and f ...) | (or f ...)
@@ -11,98 +22,191 @@ Grammar (s-expressions):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional, Sequence
 
-from .structures import PointedStructure
+from .structures import PointedStructure, Signature, Structure
 from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_of, ReadyTrace
 
 
-class Formula:
-    """Base class; concrete nodes are frozen, slotted dataclasses.
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's table key."""
 
-    Each node keeps its rendered text in ``_text``, filled on the first
-    ``render_formula`` call; the hash is that text's, which Python caches.
-    Equality stays field equality, so ``Prop("tt")`` and ``TT`` differ.
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> weak reference to the one live node with those fields
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    # a node built again after this one died may already hold the key
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+_set = object.__setattr__
+
+
+class Formula:
+    """Base class of the immutable, hash-consed formula nodes.
+
+    Constructing a node returns the live node with equal fields if there is
+    one (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006), so
+    equal formulas are one object: equality is identity and the hash is the
+    identity hash.  ``Prop("tt")`` and ``TT`` are different nodes.  The table
+    holds nodes weakly, so a formula no longer referenced is dropped from it.
+    ``_text`` keeps the rendered text once ``render_formula`` has made it.
+    ``truth_vectors`` evaluates formulas in batch, ``eval_formula`` locally
+    from the point.
+
+    Each shape of node has its own constructor, written out for speed: parsing
+    and synthesis build many nodes.
     """
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls):
+        key = (cls,)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:  # pragma: no cover - delegated
         return render_formula(self)
 
-    def __hash__(self) -> int:
-        return hash(render_formula(self))
+
+class _Named(Formula):
+    """A literal: a proposition or its negation."""
+
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
 
 
-def _node(cls):
-    """Make ``cls`` a frozen, slotted formula node hashed by its text."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+class _Junction(Formula):
+    """A conjunction or disjunction of a tuple of formulas."""
+
+    __slots__ = _fields = ("items",)
+
+    def __new__(cls, items: tuple[Formula, ...]):
+        key = (cls, items)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "items", items)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
 
 
-@_node
+class _Modal(Formula):
+    """A diamond or box over one action."""
+
+    __slots__ = _fields = ("action", "body")
+
+    def __new__(cls, action: str, body: Formula):
+        key = (cls, action, body)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "action", action)
+            _set(node, "body", body)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
+
+
 class Verum(Formula):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Falsum(Formula):
-    pass
+    __slots__ = ()
 
 
-@_node
-class Prop(Formula):
-    name: str
+class Prop(_Named):
+    __slots__ = ()
 
 
-@_node
-class NegProp(Formula):
-    name: str
+class NegProp(_Named):
+    __slots__ = ()
 
 
-@_node
-class And(Formula):
-    items: tuple[Formula, ...]
+class And(_Junction):
+    __slots__ = ()
 
 
-@_node
-class Or(Formula):
-    items: tuple[Formula, ...]
+class Or(_Junction):
+    __slots__ = ()
 
 
-@_node
-class Dia(Formula):
-    action: str
-    body: Formula
+class Dia(_Modal):
+    __slots__ = ()
 
 
-@_node
-class Box(Formula):
-    action: str
-    body: Formula
+class Box(_Modal):
+    __slots__ = ()
 
 
-@_node
 class GDia(Formula):
     """Graded diamond: at least / at most ``count`` successors satisfy the body."""
 
-    cmp: str  # ">=" or "<="
-    count: int
-    action: str
-    body: Formula
+    __slots__ = _fields = ("cmp", "count", "action", "body")
 
-    def __post_init__(self) -> None:
-        if self.cmp not in (">=", "<="):
-            raise ValueError("graded comparator must be >= or <=")
-        if self.count < 0:
-            raise ValueError("graded bound must be >= 0")
+    def __new__(cls, cmp: str, count: int, action: str, body: Formula):
+        key = (cls, cmp, count, action, body)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            # checked before the node can enter the table
+            if cmp not in (">=", "<="):
+                raise ValueError("graded comparator must be >= or <=")
+            if count < 0:
+                raise ValueError("graded bound must be >= 0")
+            node = object.__new__(cls)
+            _set(node, "cmp", cmp)
+            _set(node, "count", count)
+            _set(node, "action", action)
+            _set(node, "body", body)
+            ref = _NODES[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
 
 
-@_node
 class Deadlock(Formula):
-    pass
+    __slots__ = ()
 
 
 TT = Verum()
@@ -113,7 +217,8 @@ DEADLOCK = Deadlock()
 def conj(items: Sequence[Formula]) -> Formula:
     """Conjunction, normalized: unit dropped, deduplicated, sorted, flattened
     at width 0/1."""
-    uniq = sorted({f for f in items if not isinstance(f, Verum)}, key=render_formula)
+    # first occurrences in order, so nodes with equal text keep a fixed order
+    uniq = sorted(dict.fromkeys(f for f in items if f is not TT), key=render_formula)
     if not uniq:
         return TT
     if len(uniq) == 1:
@@ -140,66 +245,65 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_formula(text: str) -> Formula:
+    """Recursive descent over the tokens; errors name the index of the token
+    at fault."""
     tokens = _tokenize(text)
-    pos = 0
+    stream = enumerate(tokens)
 
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
+    def take(expected: str) -> None:
+        i, tok = next(stream)
+        if tok != expected:
+            raise FormulaSyntaxError(f"expected {expected!r}, found {tok!r}", i)
 
-    def take(expected: Optional[str] = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaSyntaxError("unexpected end of input", pos)
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, found {tok!r}", pos)
-        pos += 1
-        return tok
-
-    def parse() -> Formula:
-        nonlocal pos
-        tok = take()
-        if tok == "tt":
-            return TT
-        if tok == "ff":
-            return FF
+    def parse(i: int, tok: str) -> Formula:
         if tok != "(":
+            if tok == "tt":
+                return TT
+            if tok == "ff":
+                return FF
             if tok == ")":
-                raise FormulaSyntaxError("unexpected ')'", pos - 1)
+                raise FormulaSyntaxError("unexpected ')'", i)
             return Prop(tok)
-        head = take()
-        if head == "not":
-            name = take()
-            take(")")
-            return NegProp(name)
-        if head in ("and", "or"):
-            items = []
-            while peek() != ")":
-                items.append(parse())
-            take(")")
-            return (And if head == "and" else Or)(tuple(items))
-        if head in ("dia", "box"):
-            action = take()
-            body = parse()
+        i, head = next(stream)
+        if head == "dia" or head == "box":
+            _, action = next(stream)
+            i, tok = next(stream)
+            body = parse(i, tok)
             take(")")
             return (Dia if head == "dia" else Box)(action, body)
+        if head == "and" or head == "or":
+            items = []
+            i, tok = next(stream)
+            while tok != ")":
+                items.append(parse(i, tok))
+                i, tok = next(stream)
+            return (And if head == "and" else Or)(tuple(items))
+        if head == "not":
+            _, name = next(stream)
+            take(")")
+            return NegProp(name)
         if head == "gdia":
-            cmp = take()
-            count = take()
+            _, cmp = next(stream)
+            i, count = next(stream)
             if not count.isdigit():
-                raise FormulaSyntaxError("graded bound must be a natural", pos - 1)
-            action = take()
-            body = parse()
+                raise FormulaSyntaxError("graded bound must be a natural", i)
+            _, action = next(stream)
+            i, tok = next(stream)
+            body = parse(i, tok)
             take(")")
             return GDia(cmp, int(count), action, body)
         if head == "deadlock":
             take(")")
             return DEADLOCK
-        raise FormulaSyntaxError(f"unknown operator {head!r}", pos - 1)
+        raise FormulaSyntaxError(f"unknown operator {head!r}", i)
 
-    result = parse()
-    if pos != len(tokens):
-        raise FormulaSyntaxError("trailing input", pos)
+    try:
+        i, tok = next(stream)
+        result = parse(i, tok)
+    except StopIteration:  # a token was due after the last one
+        raise FormulaSyntaxError("unexpected end of input", len(tokens)) from None
+    for i, _ in stream:
+        raise FormulaSyntaxError("trailing input", i)
     return result
 
 
@@ -221,14 +325,6 @@ def render_formula(f: Formula) -> str:
         object.__setattr__(g, "_text", text)
         stack.pop()
     return f._text
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (And, Or)):
-        return f.items
-    if isinstance(f, (Dia, Box, GDia)):
-        return (f.body,)
-    return ()
 
 
 def _render_node(f: Formula) -> str:
@@ -256,21 +352,15 @@ def _render_node(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# --- evaluation ---------------------------------------------------------------
+# --- traversal ----------------------------------------------------------------
 
 
-class UnknownSymbol(KeyError):
-    pass
-
-
-def _check_symbols(f: Formula, p: PointedStructure) -> None:
-    props = set(p.signature.propositions)
-    actions = set(p.signature.actions)
-    for g in iter_subformulas(f):
-        if isinstance(g, (Prop, NegProp)) and g.name not in props:
-            raise UnknownSymbol(f"unknown proposition {g.name!r}")
-        if isinstance(g, (Dia, Box, GDia)) and g.action not in actions:
-            raise UnknownSymbol(f"unknown action {g.action!r}")
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or)):
+        return f.items
+    if isinstance(f, (Dia, Box, GDia)):
+        return (f.body,)
+    return ()
 
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
@@ -279,56 +369,266 @@ def iter_subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, (And, Or)):
-            stack.extend(reversed(g.items))
-        elif isinstance(g, (Dia, Box, GDia)):
-            stack.append(g.body)
+        stack.extend(reversed(_children(g)))
+
+
+def _post_order(roots: Sequence[Formula]) -> list[Formula]:
+    """Every distinct node reachable from the roots, once, children before
+    parents, without recursion."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(_children(root)))]
+        while stack:
+            node, kids = stack[-1]
+            for kid in kids:
+                if kid not in seen:
+                    seen.add(kid)
+                    stack.append((kid, iter(_children(kid))))
+                    break
+            else:
+                order.append(node)
+                stack.pop()
+    return order
+
+
+# --- evaluation ---------------------------------------------------------------
+
+
+class UnknownSymbol(KeyError):
+    pass
+
+
+def _check_symbols(formulas: Sequence[Formula], signatures: Sequence[Signature]) -> None:
+    """Raise the ``UnknownSymbol`` that evaluating each formula on each
+    signature's structures in turn would meet first: the first node in
+    pre-order of the first failing (formula, signature) pair.  Each distinct
+    node is visited once per distinct signature."""
+    checks = [
+        (frozenset(sig.propositions), frozenset(sig.actions), set())
+        for sig in dict.fromkeys(signatures)
+    ]
+    for f in formulas:
+        for props, actions, seen in checks:
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                if g in seen:
+                    continue
+                seen.add(g)
+                kind = type(g)
+                if kind is Dia or kind is Box or kind is GDia:
+                    if g.action not in actions:
+                        raise UnknownSymbol(f"unknown action {g.action!r}")
+                    stack.append(g.body)
+                elif kind is And or kind is Or:
+                    stack.extend(reversed(g.items))
+                elif (kind is Prop or kind is NegProp) and g.name not in props:
+                    raise UnknownSymbol(f"unknown proposition {g.name!r}")
 
 
 def eval_formula(f: Formula, p: PointedStructure) -> bool:
     """Standard Kripke satisfaction at the distinguished point."""
-    _check_symbols(f, p)
-    return _eval_at(f, p, p.point)
+    _check_symbols((f,), (p.signature,))
+    return _holds_at(f, p.base, p.point)
 
 
-def _eval_at(f: Formula, p: PointedStructure, w: str) -> bool:
-    if isinstance(f, Verum):
+def _literal(g: Formula, s: Structure, w: str) -> bool:
+    """The value at ``w`` of a node with no subformulas."""
+    kind = type(g)
+    if kind is Prop:
+        return g.name in s.valuation(w)
+    if kind is NegProp:
+        return g.name not in s.valuation(w)
+    if kind is Verum:
         return True
-    if isinstance(f, Falsum):
+    if kind is Falsum:
         return False
-    if isinstance(f, Prop):
-        return f.name in p.base.valuation(w)
-    if isinstance(f, NegProp):
-        return f.name not in p.base.valuation(w)
-    if isinstance(f, And):
-        return all(_eval_at(g, p, w) for g in f.items)
-    if isinstance(f, Or):
-        return any(_eval_at(g, p, w) for g in f.items)
-    if isinstance(f, Dia):
-        return any(_eval_at(f.body, p, v) for v in p.base.successors(w, f.action))
-    if isinstance(f, Box):
-        return all(_eval_at(f.body, p, v) for v in p.base.successors(w, f.action))
-    if isinstance(f, GDia):
-        hits = sum(1 for v in p.base.successors(w, f.action) if _eval_at(f.body, p, v))
-        return hits >= f.count if f.cmp == ">=" else hits <= f.count
-    if isinstance(f, Deadlock):
-        return p.base.is_terminal(w)
-    raise TypeError(f"not a formula: {f!r}")
+    if kind is Deadlock:
+        return s.is_terminal(w)
+    raise TypeError(f"not a formula: {g!r}")
+
+
+_COMPOSITE = frozenset({And, Or, Dia, Box, GDia})
+
+# how a node folds the values of its (subformula, state) queries: (the value
+# it counts, how many of those decide it, its value once decided); graded
+# diamonds depend on their bound
+_FOLDS = {
+    And: (False, 1, False),
+    Or: (True, 1, True),
+    Dia: (True, 1, True),
+    Box: (False, 1, False),
+}
+
+
+def _holds_at(f: Formula, s: Structure, w: str) -> bool:
+    """Does ``f`` hold at ``w``: evaluated locally from ``w`` with an explicit
+    stack, each (node, state) with subformulas decided once.
+
+    A frame is [query, its (subformula, state) queries, the value it counts,
+    how many of those decide it, its value once decided]; it takes the
+    opposite value when its queries run out first, so it stops at the first
+    value that decides it.  The bottom frame asks (f, w) alone.
+    """
+    memo: dict[tuple[Formula, str], bool] = {}
+    stack = [[None, iter(((f, w),)), True, 1, True]]
+    done: Optional[bool] = None  # the value of the frame closed last
+    while True:
+        frame = stack[-1]
+        if done is frame[2]:
+            frame[3] -= 1
+        if frame[3] <= 0:
+            done = frame[4]
+        else:
+            done = None
+            for g, v in frame[1]:
+                kind = type(g)
+                if kind in _COMPOSITE:
+                    value = memo.get((g, v))
+                    if value is None:
+                        if kind is And or kind is Or:
+                            queries = zip(g.items, repeat(v))
+                        else:
+                            queries = zip(repeat(g.body), s.successors(v, g.action))
+                        fold = _FOLDS.get(kind) or (
+                            (True, g.count, True) if g.cmp == ">=" else (True, g.count + 1, False)
+                        )
+                        stack.append([(g, v), queries, *fold])
+                        break
+                else:
+                    value = _literal(g, s, v)
+                if value is frame[2]:
+                    frame[3] -= 1
+                    if frame[3] <= 0:
+                        done = frame[4]
+                        break
+            else:
+                done = not frame[4]
+            if done is None:
+                continue
+        stack.pop()
+        if not stack:
+            return done
+        memo[frame[0]] = done
+
+
+def truth_vectors(
+    formulas: Sequence[Formula], structures: Sequence[PointedStructure]
+) -> list[tuple[bool, ...]]:
+    """For each formula, its truth value at the point of each structure.
+
+    One pass over the distinct nodes reachable from the formulas computes each
+    node's extension bottom up, as one int bitmask over the disjoint union of
+    the structures (global model checking: Clarke, Emerson and Sistla, TOPLAS
+    1986).  Symbols are checked first, once per distinct node, with the error
+    ``eval_formula`` gives on the first failing (formula, structure) pair.
+    """
+    _check_symbols(formulas, [p.signature for p in structures])
+    # element i of the structure at offset o is bit o + i of every mask
+    offset: dict[int, int] = {}  # id(structure) -> its offset
+    holds: dict[str, int] = {}  # proposition -> where it holds
+    targets: dict[str, int] = {}  # action -> where it leads
+    sources: dict[str, dict[int, int]] = {}  # action -> target bit -> its sources
+    moving = 0  # where some action leads away
+    size = 0
+    for base in (p.base for p in structures):
+        if id(base) in offset:
+            continue
+        offset[id(base)] = size
+        bit = {e: size + i for i, e in enumerate(base.universe)}
+        size += len(base.universe)
+        for name in base.signature.propositions:
+            for (e,) in base.interp[name]:
+                holds[name] = holds.get(name, 0) | 1 << bit[e]
+        for act in base.signature.actions:
+            into = sources.setdefault(act, {})
+            for e, t in base.interp[act]:
+                into[bit[t]] = into.get(bit[t], 0) | 1 << bit[e]
+                targets[act] = targets.get(act, 0) | 1 << bit[t]
+                moving |= 1 << bit[e]
+    every = (1 << size) - 1
+
+    def at_least(action: str, body: int, n: int) -> int:
+        """Where at least n ``action``-successors lie in ``body``: level[j]
+        gathers the states with at least j of them, one successor at a time."""
+        level = [every] + [0] * n
+        into = sources.get(action, {})
+        todo = body & targets.get(action, 0)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            pre = into[low.bit_length() - 1]
+            for j in range(n, 0, -1):
+                level[j] |= level[j - 1] & pre
+        return level[n]
+
+    ext: dict[Formula, int] = {}
+    for g in _post_order(formulas):
+        kind = type(g)
+        if kind is And:
+            mask = every
+            for h in g.items:
+                mask &= ext[h]
+        elif kind is Or:
+            mask = 0
+            for h in g.items:
+                mask |= ext[h]
+        elif kind is Dia:
+            mask = at_least(g.action, ext[g.body], 1)
+        elif kind is Box:
+            mask = every & ~at_least(g.action, every & ~ext[g.body], 1)
+        elif kind is GDia and g.cmp == ">=":
+            mask = at_least(g.action, ext[g.body], g.count)
+        elif kind is GDia:
+            mask = every & ~at_least(g.action, ext[g.body], g.count + 1)
+        elif kind is Prop:
+            mask = holds.get(g.name, 0)
+        elif kind is NegProp:
+            mask = every & ~holds.get(g.name, 0)
+        elif kind is Verum:
+            mask = every
+        elif kind is Falsum:
+            mask = 0
+        elif kind is Deadlock:
+            mask = every & ~moving
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        ext[g] = mask
+
+    points = [offset[id(p.base)] + p.base.universe.index(p.point) for p in structures]
+    at_points = sum(1 << b for b in set(points))
+    vectors: dict[int, tuple[bool, ...]] = {}  # the formulas share few vectors
+    out = []
+    for f in formulas:
+        key = ext[f] & at_points
+        vec = vectors.get(key)
+        if vec is None:
+            vec = vectors[key] = tuple(bool(key >> b & 1) for b in points)
+        out.append(vec)
+    return out
 
 
 # --- classification -----------------------------------------------------------
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Verum, Falsum, Prop, NegProp)):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max((modal_depth(g) for g in f.items), default=0)
-    if isinstance(f, (Dia, Box, GDia)):
-        return 1 + modal_depth(f.body)
-    if isinstance(f, Deadlock):
-        return 1
-    raise TypeError(f"not a formula: {f!r}")
+    depth: dict[Formula, int] = {}
+    for g in _post_order((f,)):
+        if isinstance(g, (Verum, Falsum, Prop, NegProp)):
+            depth[g] = 0
+        elif isinstance(g, (And, Or)):
+            depth[g] = max((depth[h] for h in g.items), default=0)
+        elif isinstance(g, (Dia, Box, GDia)):
+            depth[g] = 1 + depth[g.body]
+        elif isinstance(g, Deadlock):
+            depth[g] = 1
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return depth[f]
 
 
 def _node_heavy(g: Formula) -> bool:
@@ -339,27 +639,31 @@ def _node_heavy(g: Formula) -> bool:
     return False
 
 
-def _is_heavy(f: Formula) -> bool:
-    """Does the formula explore at all: any modal operator applied to more
-    than verum (boxes also tolerate falsum, the deadlock pattern)."""
-    return any(_node_heavy(g) for g in iter_subformulas(f))
-
-
 def _is_linear(f: Formula) -> bool:
-    if isinstance(f, (Verum, Falsum, Prop, NegProp, Deadlock)):
-        return True
-    if isinstance(f, And):
-        return (
-            all(_is_linear(g) for g in f.items)
-            and sum(1 for g in f.items if _is_heavy(g)) <= 1
-        )
-    if isinstance(f, Or):
-        return all(_is_linear(g) for g in f.items)
-    if isinstance(f, (Dia, GDia)):
-        return _is_linear(f.body)
-    if isinstance(f, Box):
-        return _is_linear(f.body) and not _is_heavy(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    """At most one heavy conjunct per conjunction and nothing heavy under a
+    box, where a formula is heavy when it explores at all: any modal operator
+    applied to more than verum (boxes also tolerate falsum, the deadlock
+    pattern)."""
+    heavy: dict[Formula, bool] = {}
+    linear: dict[Formula, bool] = {}
+    for g in _post_order((f,)):
+        heavy[g] = _node_heavy(g) or any(heavy[h] for h in _children(g))
+        if isinstance(g, (Verum, Falsum, Prop, NegProp, Deadlock)):
+            linear[g] = True
+        elif isinstance(g, And):
+            linear[g] = (
+                all(linear[h] for h in g.items)
+                and sum(1 for h in g.items if heavy[h]) <= 1
+            )
+        elif isinstance(g, Or):
+            linear[g] = all(linear[h] for h in g.items)
+        elif isinstance(g, (Dia, GDia)):
+            linear[g] = linear[g.body]
+        elif isinstance(g, Box):
+            linear[g] = linear[g.body] and not heavy[g.body]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return linear[f]
 
 
 @dataclass(frozen=True)
@@ -373,10 +677,11 @@ class ClassifyResult:
 
 def classify(f: Formula) -> ClassifyResult:
     """Fragment membership (syntactic) plus modal depth."""
-    has_neg = any(isinstance(g, NegProp) for g in iter_subformulas(f))
-    has_box = any(isinstance(g, Box) for g in iter_subformulas(f))
-    has_graded = any(isinstance(g, GDia) for g in iter_subformulas(f))
-    has_deadlock = any(isinstance(g, Deadlock) for g in iter_subformulas(f))
+    kinds = {type(g) for g in _post_order((f,))}
+    has_neg = NegProp in kinds
+    has_box = Box in kinds
+    has_graded = GDia in kinds
+    has_deadlock = Deadlock in kinds
     tags = {"ML"}
     if not (has_neg or has_box or has_graded or has_deadlock):
         tags.add("DiamondPos")
@@ -431,7 +736,7 @@ def synth_trace_formula(
                 m = sum(
                     1
                     for v in p.base.successors(run.states[i], action)
-                    if _eval_at(body, p, v)
+                    if _holds_at(body, p.base, v)
                 )
                 items.append(exact_count(action, m, body))
             else:

@@ -57,6 +57,7 @@ from .logic import (
     render_formula,
     synth_characteristic,
     synth_trace_formula,
+    truth_vectors,
 )
 
 
@@ -710,7 +711,8 @@ def _suite_lemma313(size: int, k: int, samples: int, seed: int, length: int) -> 
 def _enumerate_deadlock_formulas(k: int, props: Sequence[str], actions: Sequence[str]):
     """All restricted-conjunction formulas of the deadlock-diamond fragment up
     to depth k: consistent literal sets, optional deadlock, at most one
-    diamond."""
+    diamond.  Built one depth at a time; equal formulas are one node, so the
+    first occurrence of each is kept."""
     literal_sets: list[list[Formula]] = [[]]
     for p in props:
         literal_sets = [
@@ -718,28 +720,19 @@ def _enumerate_deadlock_formulas(k: int, props: Sequence[str], actions: Sequence
             for base in literal_sets
             for extra in ([], [Prop(p)], [NegProp(p)])
         ]
-
-    def level(depth: int) -> list[Formula]:
-        out = []
-        bodies = level(depth - 1) if depth > 0 else []
-        for lits in literal_sets:
-            for dead in (False, True):
-                extras: list[list[Formula]] = [[]]
-                if depth > 0:
-                    extras += [[Dia(act, body)] for act in actions for body in bodies]
-                for extra in extras:
-                    items = list(lits) + ([DEADLOCK] if dead else []) + extra
-                    out.append(conj(items))
-        seen = set()
-        uniq = []
-        for f in out:
-            key = render_formula(f)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(f)
-        return uniq
-
-    return level(k)
+    level: list[Formula] = []
+    for depth in range(k + 1):
+        extras: list[list[Formula]] = [[]]
+        extras += [[Dia(act, body)] for act in actions for body in level]
+        level = list(
+            dict.fromkeys(
+                conj(list(lits) + ([DEADLOCK] if dead else []) + extra)
+                for lits in literal_sets
+                for dead in (False, True)
+                for extra in extras
+            )
+        )
+    return level
 
 
 def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
@@ -769,24 +762,19 @@ def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> Sui
     char_cache = {
         i: synth_characteristic(x, k, "DiamondPos") for i, x in enumerate(universe)
     }
-    vector_cache: dict[str, tuple[bool, ...]] = {}
-    checked_vectors: dict[tuple[bool, ...], Optional[str]] = {}
+    # the formulas are distinct nodes, so one batch gives every vector once
+    vector_cache: dict[Formula, tuple[bool, ...]] = dict(
+        zip(formulas, truth_vectors(formulas, universe))
+    )
 
-    for fi, f in enumerate(formulas):
-        key = render_formula(f)
-        vec = vector_cache.get(key)
-        if vec is None:
-            vec = tuple(eval_formula(f, x) for x in universe)
-            vector_cache[key] = vec
-        if vec in checked_vectors:
-            report.record(fi, checked_vectors[vec])
-            continue
+    # each distinct invariant vector, with its positive rewriting
+    rewritings: dict[tuple[bool, ...], Formula] = {}
+    for vec in dict.fromkeys(vector_cache.values()):
         invariant = all(
             not (vec[i] and tr_matrix[(i, j)]) or vec[j]
             for i in range(len(universe))
             for j in range(len(universe))
         )
-        problem = None
         if invariant:
             models = [i for i, v in enumerate(vec) if v]
             minimal = [
@@ -797,17 +785,21 @@ def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> Sui
                     for j in models
                 )
             ]
-            rewritten = Or(tuple(char_cache[i] for i in minimal)) if minimal else conj([])
-            if minimal:
-                revec = tuple(eval_formula(rewritten, x) for x in universe)
-            else:
-                revec = tuple(False for _ in universe)
-            if revec != vec:
+            # with no models the rewriting is the empty disjunction, false everywhere
+            rewritings[vec] = Or(tuple(char_cache[i] for i in minimal))
+    revecs = dict(zip(rewritings, truth_vectors(list(rewritings.values()), universe)))
+
+    checked_vectors: dict[tuple[bool, ...], Optional[str]] = {}
+    for fi, f in enumerate(formulas):
+        vec = vector_cache[f]
+        if vec not in checked_vectors:
+            problem = None
+            if revecs.get(vec, vec) != vec:
                 problem = (
-                    f"invariant formula {key} disagrees with its positive rewriting"
+                    f"invariant formula {render_formula(f)} disagrees with its positive rewriting"
                 )
-        checked_vectors[vec] = problem
-        report.record(fi, problem)
+            checked_vectors[vec] = problem
+        report.record(fi, checked_vectors[vec])
     report.samples = len(formulas)
     return report
 
@@ -899,7 +891,8 @@ def replay_prop86(
         ("window-right: ball of graft isomorphic to unraveling",
          pointed_iso(ball(gb, k), ub)),
     ]
+    (values,) = truth_vectors([phi], [p for _, p in stations])
     return ChainReplay(
-        stations=tuple((name, eval_formula(phi, p)) for name, p in stations),
+        stations=tuple(zip((name for name, _ in stations), values)),
         checks=tuple(checks),
     )

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +10,17 @@ from linspect.logic import (
     DEADLOCK,
     And,
     Box,
+    Deadlock,
     Dia,
     FF,
+    Falsum,
     FormulaSyntaxError,
     GDia,
     NegProp,
     Or,
     Prop,
     TT,
+    Verum,
     UnknownSymbol,
     classify,
     conj,
@@ -27,10 +33,13 @@ from linspect.logic import (
     synth_distinguishing,
     synth_ready_formula,
     synth_trace_formula,
+    truth_vectors,
+    _NODES,
 )
 from linspect.oracle import _enumerate_deadlock_formulas
 from linspect.structures import PointedStructure, Signature, Structure
 from linspect.traces import Run, ReadyTrace, check_trace_relation, runs_upto
+from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_pairs, pointed_structures
 
@@ -118,6 +127,163 @@ class TestFormulaNodes:
             render_formula(f), "p", "(dia a (or q (not p)))", "(or q (not p))",
             "q", "(not p)", "(gdia >= 2 b tt)", "tt",
         ]
+
+
+def _eval_at(f, p, w):
+    """Reference evaluator: the Kripke clauses read literally, by recursion."""
+    if isinstance(f, Verum):
+        return True
+    if isinstance(f, Falsum):
+        return False
+    if isinstance(f, Prop):
+        return f.name in p.base.valuation(w)
+    if isinstance(f, NegProp):
+        return f.name not in p.base.valuation(w)
+    if isinstance(f, And):
+        return all(_eval_at(g, p, w) for g in f.items)
+    if isinstance(f, Or):
+        return any(_eval_at(g, p, w) for g in f.items)
+    if isinstance(f, Dia):
+        return any(_eval_at(f.body, p, v) for v in p.base.successors(w, f.action))
+    if isinstance(f, Box):
+        return all(_eval_at(f.body, p, v) for v in p.base.successors(w, f.action))
+    if isinstance(f, GDia):
+        hits = sum(1 for v in p.base.successors(w, f.action) if _eval_at(f.body, p, v))
+        return hits >= f.count if f.cmp == ">=" else hits <= f.count
+    if isinstance(f, Deadlock):
+        return p.base.is_terminal(w)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _first_unknown(f, signature):
+    """Reference symbol check: the first unknown symbol in pre-order, reached
+    or not, as the message evaluation must raise; None when all are known."""
+    for g in iter_subformulas(f):
+        if isinstance(g, (Prop, NegProp)) and g.name not in signature.propositions:
+            return f"unknown proposition {g.name!r}"
+        if isinstance(g, (Dia, Box, GDia)) and g.action not in signature.actions:
+            return f"unknown action {g.action!r}"
+    return None
+
+
+def _every_point(ps):
+    """Each structure pointed at each of its elements, bases shared."""
+    return [PointedStructure(p.base, e) for p in ps for e in p.base.universe]
+
+
+def _chain(n):
+    """s0 -a-> s1 -a-> ... -a-> sn, with p at sn only."""
+    sig = Signature((("p", 1), ("a", 2)), modal=True)
+    states = tuple(f"s{i}" for i in range(n + 1))
+    edges = {(states[i], states[i + 1]) for i in range(n)}
+    return Structure(sig, states, {"p": {(states[-1],)}, "a": edges})
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_node(self):
+        f = And((Prop("p"), Dia("a", GDia(">=", 2, "b", DEADLOCK))))
+        g = And((Prop("p"), Dia("a", GDia(">=", 2, "b", DEADLOCK))))
+        assert f is g
+        assert parse_formula(render_formula(f)) is f
+
+    def test_constants_are_not_propositions(self):
+        assert Prop("tt") is not TT and Prop("ff") is not FF
+        assert Verum() is TT and Falsum() is FF and Deadlock() is DEADLOCK
+
+    def test_invalid_graded_diamond_is_not_stored(self):
+        for cmp, count in ((">", 1), (">=", -1)):
+            with pytest.raises(ValueError):
+                GDia(cmp, count, "a", TT)
+            assert (GDia, cmp, count, "a", TT) not in _NODES
+
+    def test_unreferenced_nodes_leave_the_table(self):
+        f = Dia("a", Prop("interning-probe"))
+        ref = weakref.ref(f)
+        assert (Prop, "interning-probe") in _NODES
+        del f
+        gc.collect()
+        # the Dia entry's key holds the Prop, so the Prop going shows both went
+        assert ref() is None and (Prop, "interning-probe") not in _NODES
+
+    def test_hashing_a_deep_chain_renders_nothing(self):
+        # a fresh name: interned nodes other tests rendered keep their text
+        chain = Prop("hash-probe")
+        for _ in range(5000):
+            chain = Dia("a", chain)
+        assert {chain: 1}[Dia("a", chain.body)] == 1
+        assert not any(hasattr(g, "_text") for g in iter_subformulas(chain))
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Prop("p").name = "q"
+
+
+class TestEvaluators:
+    @given(
+        st.lists(formulas, min_size=1, max_size=4),
+        st.lists(pointed_structures(max_size=4, n_props=2), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_and_local_agree_with_reference(self, fs, ps, k):
+        structures = _every_point(ps + [as_pointed(ml_unravel(p, k)[0]) for p in ps])
+        for f, vector in zip(fs, truth_vectors(fs, structures)):
+            want = tuple(_eval_at(f, p, p.point) for p in structures)
+            assert vector == want
+            assert tuple(eval_formula(f, p) for p in structures) == want
+
+    @given(
+        st.lists(formulas, min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+                lambda n: pointed_structures(max_size=3, n_props=n[0], n_actions=n[1])
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unknown_symbols_raise_the_reference_message(self, fs, ps):
+        # the formulas use p, q, a and b; some signatures lack q or b
+        want = next(
+            (msg for f in fs for p in ps if (msg := _first_unknown(f, p.signature))),
+            None,
+        )
+        if want is None:
+            truth_vectors(fs, ps)
+            return
+        with pytest.raises(UnknownSymbol) as batch:
+            truth_vectors(fs, ps)
+        assert batch.value.args == (want,)
+        f, p = next((f, p) for f in fs for p in ps if _first_unknown(f, p.signature))
+        with pytest.raises(UnknownSymbol) as local:
+            eval_formula(f, p)
+        assert local.value.args == (want,)
+
+    def test_unknown_symbol_under_unreachable_diamond(self):
+        terminal = PointedStructure(Structure(fix4().signature, ("z",), {}), "z")
+        for bad, msg in ((Prop("zz"), "unknown proposition 'zz'"), (Dia("zz", TT), "unknown action 'zz'")):
+            f = Or((TT, Dia("a", And((FF, bad)))))
+            for run in (lambda: eval_formula(f, terminal), lambda: truth_vectors([TT, f], [terminal])):
+                with pytest.raises(UnknownSymbol) as err:
+                    run()
+                assert err.value.args == (msg,)
+
+    def test_deep_chain_without_recursion(self):
+        s = _chain(3000)
+        chain = Prop("p")
+        for _ in range(3000):
+            chain = Dia("a", chain)
+        boxes = Prop("p")
+        for _ in range(3000):
+            boxes = Box("a", boxes)
+        start, next_ = PointedStructure(s, "s0"), PointedStructure(s, "s1")
+        assert eval_formula(chain, start) and not eval_formula(chain, next_)
+        # from s1 the boxes run past the terminal state and hold vacuously
+        assert eval_formula(boxes, start) and eval_formula(boxes, next_)
+        assert not eval_formula(boxes.body, start) and eval_formula(boxes.body, next_)
+        # the batch pass computes every state, which for the boxes costs depth x states
+        assert truth_vectors([chain, chain.body], [start, next_]) == [(True, False), (False, True)]
 
 
 class TestEval:
