@@ -1,4 +1,4 @@
-"""Fixpoint solvers for the back-and-forth game on forest objects, depth-bounded
+"""Solvers for the back-and-forth game on forest objects, depth-bounded
 bisimulation, the all-in-one two-sided pebble game, and the round-bounded
 spoiler/duplicator game for first-order equivalence.
 
@@ -6,16 +6,22 @@ All solvers are deterministic: move enumeration follows universe order, and
 verdicts come with machine-checkable witnesses (a response table for the
 surviving player, or a winning attack for the other).
 
+``_solve`` is the one solver: memoised backward induction with an explicit
+stack.  Every game, both replays and ``oracle``'s modal morphism search give
+it a winning condition and Spoiler's moves.  ``solve_bisim`` plays the rounds
+below the root at depth at most |A| + |B|: partition refinement on the disjoint
+union is stable from round |A| + |B| - 1 on (Kanellakis and Smolka 1990), so
+the cap changes neither the verdict nor the root's Spoiler move.
+
 Solvers and replays share one implementation of each job.  ``_partial_iso``
 is the partial-isomorphism check behind ``_pairs_partial_iso`` (pebble and
 element games) and ``_pebbled_compatible`` (pebbled paths); ``_path_condition``
 is the path condition behind ``path_iso`` and ``path_hom_compatible``.  The
 back-and-forth solver and its replays share ``_covers``, ``_bottom``,
-``_moves``, ``_answers``, ``_after`` and the strategy walk ``_strategy_walk``;
-``solve_ppeb`` and its replay share ``_gamma_key``, ``_placements`` and
-``_place``.  The replays check the full path condition, not the solver's
-incremental one, so they stay an independent check; ``replay_spoiler`` and
-``replay_ppeb_duplicator`` memoise the positions they have decided.
+``_moves``, ``_answers``, ``_after``, ``_bf_moves`` and the strategy walk
+``_strategy_walk``; ``solve_ppeb`` and its replay share ``_pebble_game``.  The
+replays check the full path condition, not the solver's incremental one, so
+they stay an independent check.
 """
 
 from __future__ import annotations
@@ -173,6 +179,57 @@ def path_hom_compatible(a: PathHandle, b: PathHandle) -> bool:
     return _path_condition(a, b, False)
 
 
+# --- the one solver -------------------------------------------------------------
+
+
+_DECIDED = object()  # what a finished frame of ``_solve`` yields
+
+
+def _solve(start, ok, moves) -> tuple[dict, dict, dict]:
+    """Memoised backward induction with an explicit stack, for a finite game
+    in which no play revisits a position.
+
+    Duplicator wins a position when ``ok(pos)`` holds and every Spoiler move
+    has an answer leading to a won position.  ``moves(pos)`` yields Spoiler's
+    moves in order, each as ``(move, iterable of (answer, next position))``.
+    Returns ``value`` per decided position, Duplicator's first winning
+    ``answer`` per ``(pos, move)``, and Spoiler's first winning move, in
+    ``refute``, per losing position that passed ``ok``.
+    """
+    value: dict = {}
+    answer: dict = {}
+    refute: dict = {}
+
+    def decide(pos):
+        # the recursive definition, for a position that passed ``ok``; the
+        # loop below decides each position yielded before this one resumes
+        for move, answers in moves(pos):
+            for reply, nxt in answers:
+                if nxt not in value:
+                    if ok(nxt):
+                        yield nxt
+                    else:
+                        value[nxt] = False
+                if value[nxt]:
+                    answer[pos, move] = reply
+                    break
+            else:
+                refute[pos] = move
+                value[pos] = False
+                return
+        value[pos] = True
+
+    stack = [decide(start)] if ok(start) else []
+    while stack:
+        nxt = next(stack[-1], _DECIDED)
+        if nxt is _DECIDED:
+            stack.pop()
+        else:
+            stack.append(decide(nxt))
+    value.setdefault(start, False)
+    return value, answer, refute
+
+
 # --- the back-and-forth game ---------------------------------------------------
 
 # A position is a pair (u, v) of path ends, None standing for the empty path;
@@ -210,6 +267,19 @@ def _answers(x: ForestObject, y: ForestObject, pos: tuple, move: tuple) -> tuple
 def _after(move: tuple, answer: Optional[str]) -> tuple:
     """The position after ``move`` and its answer."""
     return (move[1], answer) if move[0] == "left" else (answer, move[1])
+
+
+def _bf_moves(x: ForestObject, y: ForestObject, spoiler):
+    """The back-and-forth game's moves for ``_solve``: Spoiler plays the moves
+    ``spoiler(pos)`` lists, and Duplicator answers ``(side, node)`` on the
+    other side, as the Duplicator tables record it."""
+
+    def moves(pos: tuple):
+        for move in spoiler(pos):
+            side = _OTHER_SIDE[move[0]]
+            yield move, (((side, w), _after(move, w)) for w in _answers(x, y, pos, move))
+
+    return moves
 
 
 def _strategy_walk(x: ForestObject, y: ForestObject, variant: Variant, table: dict):
@@ -253,8 +323,10 @@ def solve_back_and_forth(
         raise ValueError("modal game needs single-rooted forests")
     bottom = _bottom(x, y)
 
-    def step_ok(u: Optional[str], v: Optional[str]) -> bool:
-        """Winning-condition increment for the freshly extended pair."""
+    def step_ok(pos: tuple) -> bool:
+        """The winning condition, checked on the freshly extended pair only:
+        ``_solve`` reaches a position through the one before it."""
+        u, v = pos
         if modal:
             vu, vv = x.valuation[u], y.valuation[v]
             vals_ok = vu == vv if reflect else vu <= vv
@@ -265,41 +337,14 @@ def solve_back_and_forth(
             x, cu, y, cv, reflect, prefix_checked=max(len(cu) - 1, 0)
         )
 
-    duplicator_table: dict[tuple, tuple] = {}
-    spoiler_table: dict[tuple, tuple] = {}
-    memo: dict[tuple, bool] = {}
-
-    def win(pos: tuple) -> bool:
-        if pos in memo:
-            return memo[pos]
-        result = True
-        for move in _moves(x, y, pos, variant):
-            answer = next(
-                (
-                    w
-                    for w in _answers(x, y, pos, move)
-                    if step_ok(*_after(move, w)) and win(_after(move, w))
-                ),
-                None,
-            )
-            if answer is None:
-                result = False
-                spoiler_table[pos] = move
-                break
-            duplicator_table[(pos, move)] = (_OTHER_SIDE[move[0]], answer)
-        memo[pos] = result
-        return result
-
-    if modal and not step_ok(*bottom):
+    if modal and not step_ok(bottom):
         return GameResult(SPOILER, {"initial": "root labels differ"})
-    if win(bottom):
-        reachable = {
-            (pos, move): response
-            for pos, move, response in _strategy_walk(x, y, variant, duplicator_table)
-            if response is not None
-        }
-        return GameResult(DUPLICATOR, reachable)
-    return GameResult(SPOILER, dict(spoiler_table))
+    moves = _bf_moves(x, y, lambda pos: _moves(x, y, pos, variant))
+    value, answer, refute = _solve(bottom, step_ok, moves)
+    if not value[bottom]:
+        return GameResult(SPOILER, refute)
+    walk = _strategy_walk(x, y, variant, answer)
+    return GameResult(DUPLICATOR, {(pos, m): r for pos, m, r in walk if r is not None})
 
 
 def _replay_condition(x: ForestObject, y: ForestObject, variant: Variant):
@@ -332,75 +377,58 @@ def replay_spoiler(
     """Check a Spoiler table: following its moves, every Duplicator response
     chain eventually leaves the winning condition or strands Duplicator."""
     ok = _replay_condition(x, y, variant)
-    memo: dict[tuple, bool] = {}
-
-    def defeated(pos: tuple) -> bool:
-        if pos in memo:
-            return memo[pos]
-        if not ok(pos):
-            result = True
-        elif pos not in table:
-            result = False
-        else:
-            move = table[pos]
-            result = all(
-                defeated(_after(move, w)) for w in _answers(x, y, pos, move)
-            )
-        memo[pos] = result
-        return result
-
+    bottom = _bottom(x, y)
     if isinstance(table, dict) and table.get("initial") is not None:
-        return not ok(_bottom(x, y))
-    return defeated(_bottom(x, y))
+        return not ok(bottom)
+    # Spoiler's only move is the table's; where it has none, Duplicator wins
+    moves = _bf_moves(x, y, lambda pos: [table[pos]] if pos in table else [])
+    return not _solve(bottom, ok, moves)[0][bottom]
 
 
 # --- depth-bounded bisimulation -------------------------------------------------
 
 
 def solve_bisim(a: PointedStructure, b: PointedStructure, k: int) -> GameResult:
-    """Depth-k bisimulation by backward induction on state pairs."""
+    """Depth-k bisimulation by backward induction on positions ``(x, y,
+    rounds left)``, the rounds below the root capped at |A| + |B| as the
+    module docstring explains.  Spoiler's witness maps each lost position to
+    its first winning move, or to ``("labels", x, y)`` where labels differ.
+    """
     if a.signature != b.signature:
         raise SignatureMismatch("bisimulation requires matching signatures")
-    memo: dict[tuple[str, str, int], bool] = {}
-    spoiler_line: dict[tuple[str, str, int], tuple] = {}
+    cap = len(a.base.universe) + len(b.base.universe)
 
-    def moves(x: str, y: str):
+    def labels_agree(pos: tuple) -> bool:
+        return a.base.valuation(pos[0]) == b.base.valuation(pos[1])
+
+    def moves(pos: tuple):
         """Spoiler's steps with Duplicator's answers: per action, left first."""
+        x, y, depth = pos
+        if depth <= 0:
+            return
+        rest = min(depth - 1, cap)
         for act in a.signature.actions:
             xs, ys = a.base.successors(x, act), b.base.successors(y, act)
             for x2 in xs:
-                yield ("left", act, x2), [(x2, y2) for y2 in ys]
+                yield ("left", act, x2), ((y2, (x2, y2, rest)) for y2 in ys)
             for y2 in ys:
-                yield ("right", act, y2), [(x2, y2) for x2 in xs]
+                yield ("right", act, y2), ((x2, (x2, y2, rest)) for x2 in xs)
 
-    def win(x: str, y: str, depth: int) -> bool:
-        key = (x, y, depth)
-        if key in memo:
-            return memo[key]
-        result = a.base.valuation(x) == b.base.valuation(y)
-        if not result:
-            spoiler_line[key] = ("labels", x, y)
-        elif depth > 0:
-            for move, answers in moves(x, y):
-                if not any(win(x2, y2, depth - 1) for x2, y2 in answers):
-                    result = False
-                    spoiler_line[key] = move
-                    break
-        memo[key] = result
-        return result
-
-    if win(a.point, b.point, k):
-        winning = frozenset(key for key, value in memo.items() if value)
-        return GameResult(DUPLICATOR, winning)
-    return GameResult(SPOILER, dict(spoiler_line))
+    root = (a.point, b.point, k)
+    value, _, refute = _solve(root, labels_agree, moves)
+    if value[root]:
+        return GameResult(DUPLICATOR, frozenset(pos for pos, won in value.items() if won))
+    return GameResult(SPOILER, {
+        pos: refute.get(pos, ("labels", pos[0], pos[1]))
+        for pos, won in value.items()
+        if not won
+    })
 
 
 # --- all-in-one two-sided pebble game -------------------------------------------
 
-
-def _gamma_key(gamma: dict[int, tuple[str, str]]) -> tuple:
-    """A pebble-game position: the pebble-to-pair assignment, sorted."""
-    return tuple(sorted(gamma.items()))
+# A position is (assignment, placements left); the assignment is the sorted
+# tuple of (pebble, (a-element, b-element)) pairs.
 
 
 def _placements(a: Structure, b: Structure, k: int):
@@ -412,12 +440,30 @@ def _placements(a: Structure, b: Structure, k: int):
                 yield side, p, elt
 
 
-def _place(gamma: dict[int, tuple[str, str]], move: tuple, answer: str) -> dict:
+def _place(gamma: tuple, move: tuple, answer: str) -> tuple:
     """The assignment after a placement and Duplicator's answer to it."""
     side, p, elt = move
     g2 = dict(gamma)
     g2[p] = (elt, answer) if side == "A" else (answer, elt)
-    return g2
+    return tuple(sorted(g2.items()))
+
+
+def _pebble_game(a: Structure, b: Structure, k: int, answers):
+    """The pebble game's winning condition and moves for ``_solve``;
+    ``answers(pos, move)`` lists Duplicator's candidate answers."""
+
+    def ok(pos: tuple) -> bool:
+        return _pairs_partial_iso([pair for _, pair in pos[0]], a, b, True)
+
+    def moves(pos: tuple):
+        gamma, remaining = pos
+        if remaining > 0:
+            for move in _placements(a, b, k):
+                yield move, (
+                    (w, (_place(gamma, move, w), remaining - 1)) for w in answers(pos, move)
+                )
+
+    return ok, moves
 
 
 def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
@@ -432,41 +478,12 @@ def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
         raise SignatureMismatch("the pebble game requires matching signatures")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    duplicator_table: dict[tuple, str] = {}
-    spoiler_table: dict[tuple, tuple] = {}
-    memo: dict[tuple, bool] = {}
-
-    def survives(g2: dict[int, tuple[str, str]], remaining: int) -> bool:
-        return _pairs_partial_iso(list(g2.values()), a, b, True) and win(g2, remaining)
-
-    def win(gamma: dict[int, tuple[str, str]], remaining: int) -> bool:
-        key = (_gamma_key(gamma), remaining)
-        if key in memo:
-            return memo[key]
-        result = True
-        if remaining > 0:
-            for move in _placements(a, b, k):
-                target = b if move[0] == "A" else a
-                answer = next(
-                    (
-                        w
-                        for w in target.universe
-                        if survives(_place(gamma, move, w), remaining - 1)
-                    ),
-                    None,
-                )
-                if answer is None:
-                    result = False
-                    spoiler_table[key] = move
-                    break
-                duplicator_table[(key, move)] = answer
-        memo[key] = result
-        return result
-
-    if win({}, n):
-        return GameResult(DUPLICATOR, dict(duplicator_table))
-    return GameResult(SPOILER, dict(spoiler_table))
+    ok, moves = _pebble_game(
+        a, b, k, lambda pos, move: (b if move[0] == "A" else a).universe
+    )
+    start = ((), n)
+    value, answer, refute = _solve(start, ok, moves)
+    return GameResult(DUPLICATOR, answer) if value[start] else GameResult(SPOILER, refute)
 
 
 def replay_ppeb_duplicator(
@@ -474,24 +491,11 @@ def replay_ppeb_duplicator(
 ) -> bool:
     """Check a pebble-game response table: every placement sequence answered
     move by move keeps the pairing a partial isomorphism."""
-    memo: dict[tuple, bool] = {}
-
-    def survives(g2: dict[int, tuple[str, str]], remaining: int) -> bool:
-        return _pairs_partial_iso(list(g2.values()), a, b, True) and walk(g2, remaining)
-
-    def walk(gamma: dict[int, tuple[str, str]], remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        key = (_gamma_key(gamma), remaining)
-        if key not in memo:
-            memo[key] = all(
-                (key, move) in table
-                and survives(_place(gamma, move, table[(key, move)]), remaining - 1)
-                for move in _placements(a, b, k)
-            )
-        return memo[key]
-
-    return walk({}, n)
+    ok, moves = _pebble_game(
+        a, b, k, lambda pos, move: [table[pos, move]] if (pos, move) in table else []
+    )
+    start = ((), n)
+    return _solve(start, ok, moves)[0][start]
 
 
 # --- rounds-bounded first-order game --------------------------------------------
@@ -511,23 +515,22 @@ def solve_ef(
         raise SignatureMismatch("the element game requires matching signatures")
     if len(tuple_a) != len(tuple_b):
         raise ValueError("distinguished tuples must have equal length")
+    if r < 0:
+        raise ValueError("r must be >= 0")
 
-    memo: dict[tuple, bool] = {}
+    def ok(pos: tuple) -> bool:
+        return _pairs_partial_iso(pos[0], a, b, True)
 
-    def win(pairs: frozenset[tuple[str, str]], rounds: int) -> bool:
-        key = (pairs, rounds)
-        if key in memo:
-            return memo[key]
-        result = _pairs_partial_iso(pairs, a, b, True) and (
-            rounds == 0
-            or all(any(win(pairs | {(x, y)}, rounds - 1) for y in b.universe) for x in a.universe)
-            and all(any(win(pairs | {(x, y)}, rounds - 1) for x in a.universe) for y in b.universe)
-        )
-        memo[key] = result
-        return result
+    def moves(pos: tuple):
+        pairs, rounds = pos
+        if rounds > 0:
+            for x in a.universe:
+                yield ("A", x), ((y, (pairs | {(x, y)}, rounds - 1)) for y in b.universe)
+            for y in b.universe:
+                yield ("B", y), ((x, (pairs | {(x, y)}, rounds - 1)) for x in a.universe)
 
-    start = frozenset(zip(tuple_a, tuple_b))
-    winner = DUPLICATOR if win(start, r) else SPOILER
+    start = (frozenset(zip(tuple_a, tuple_b)), r)
+    winner = DUPLICATOR if _solve(start, ok, moves)[0][start] else SPOILER
     return GameResult(winner)
 
 

@@ -89,8 +89,31 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        # the constructor-call text, written out from an explicit stack, so
+        # that any depth prints and the work is linear in the output
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces: list = [f"{type(item).__name__}("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                pieces.append(f"{', ' if i else ''}{name}=")
+                if isinstance(value, Formula):
+                    pieces.append(value)
+                elif isinstance(value, tuple):
+                    pieces.append("(")
+                    for j, g in enumerate(value):
+                        pieces += [", ", g] if j else [g]
+                    pieces.append(",)" if len(value) == 1 else ")")
+                else:
+                    pieces.append(repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(out)
 
     def __str__(self) -> str:  # pragma: no cover - delegated
         return render_formula(self)
@@ -722,14 +745,15 @@ def synth_trace_formula(
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
     negated = fragment != "DiamondPos"
 
-    def build(i: int) -> Formula:
+    # built from the last state back: each formula is the body of the next
+    body = TT
+    for i in range(len(run), -1, -1):
         items = _literals(p, run.states[i], negated)
         if i == len(run):
             if fragment == "DeadlockDiamond" and p.base.is_terminal(run.states[i]):
                 items.append(DEADLOCK)
         else:
             action = run.actions[i]
-            body = build(i + 1)
             if fragment == "Graded":
                 # the exact number of successors that continue this way; raw
                 # successor counts would not be satisfied by the source itself
@@ -741,9 +765,8 @@ def synth_trace_formula(
                 items.append(exact_count(action, m, body))
             else:
                 items.append(Dia(action, body))
-        return conj(items)
-
-    return build(0)
+        body = conj(items)
+    return body
 
 
 def synth_characteristic(p: PointedStructure, k: int, fragment: str) -> Formula:
@@ -760,18 +783,19 @@ def synth_ready_formula(rt: ReadyTrace, actions: Optional[Sequence[str]] = None)
         sorted(set().union(*rt.ready_sets, set(rt.actions)))
     )
 
-    def build(i: int) -> Formula:
+    # built from the last step back: each formula is the body of the next
+    body = TT
+    for i in range(len(rt.actions), -1, -1):
         ready = rt.ready_sets[i]
         items: list[Formula] = [Box(g, FF) for g in alphabet if g not in ready]
         if i < len(rt.actions):
             step = rt.actions[i]
             items += [Dia(b, TT) for b in sorted(ready) if b != step]
-            items.append(Dia(step, build(i + 1)))
+            items.append(Dia(step, body))
         else:
             items += [Dia(b, TT) for b in sorted(ready)]
-        return conj(items)
-
-    return build(0)
+        body = conj(items)
+    return body
 
 
 _FRAGMENT_RELATION = {
@@ -807,24 +831,23 @@ def _graded_candidates(
         for extra in end_profiles:
             for graded_levels in range(len(run) + 1):
                 for mode in ("=", ">=", "<="):
-                    # grade the first `graded_levels` transitions, plain after
-                    def build(i: int) -> Formula:
+                    # grade the first `graded_levels` transitions, plain
+                    # after; built from the last state back
+                    body = TT
+                    for i in range(len(run), -1, -1):
                         items = _literals(p, run.states[i], True)
                         if i == len(run):
                             items.extend(extra)
-                        else:
-                            body = build(i + 1)
-                            if i < graded_levels:
-                                m = len(p.base.successors(run.states[i], run.actions[i]))
-                                if mode == "=":
-                                    items.append(exact_count(run.actions[i], m, body))
-                                else:
-                                    items.append(GDia(mode, m, run.actions[i], body))
+                        elif i < graded_levels:
+                            m = len(p.base.successors(run.states[i], run.actions[i]))
+                            if mode == "=":
+                                items.append(exact_count(run.actions[i], m, body))
                             else:
-                                items.append(Dia(run.actions[i], body))
-                        return conj(items)
-
-                    yield build(0)
+                                items.append(GDia(mode, m, run.actions[i], body))
+                        else:
+                            items.append(Dia(run.actions[i], body))
+                        body = conj(items)
+                    yield body
 
 
 def synth_distinguishing(

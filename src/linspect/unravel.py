@@ -406,14 +406,15 @@ def pr_unravel(
                 if tuple(seq[idx - 1][1] for idx in combo) in s.interp[name]:
                     tuples[name].add(tuple(ids[idx - 1] for idx in combo))
 
-    def extend(seq: tuple[tuple[int, str], ...]) -> None:
+    # every sequence in pre-order: a sequence, then its extensions in
+    # alphabet order
+    stack: list[tuple[tuple[int, str], ...]] = [()]
+    while stack:
+        seq = stack.pop()
         if seq:
             add_chain(seq)
         if len(seq) < n:
-            for step in alphabet:
-                extend(seq + (step,))
-
-    extend(())
+            stack.extend(seq + (step,) for step in reversed(alphabet))
     forest = ForestObject(
         kind="pebbled",
         signature=s.signature,

@@ -3,11 +3,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linspect.fixtures import chain2, chain3, fix1, fix2, fix4
+from linspect.cli import main
 from linspect.games import (
     CategoryMismatch,
     DUPLICATOR,
     SPOILER,
+    GameResult,
     PathHandle,
+    _OTHER_SIDE,
+    _after,
+    _answers,
+    _bottom,
+    _moves,
+    _pairs_partial_iso,
+    _pebbled_compatible,
+    _place,
+    _placements,
+    _strategy_walk,
     path_hom_compatible,
     path_iso,
     replay_duplicator,
@@ -16,7 +28,8 @@ from linspect.games import (
     solve_ef,
     solve_ppeb,
 )
-from linspect.structures import Signature, Structure
+from linspect.oracle import _modal_step_cond, find_morphism
+from linspect.structures import Signature, Structure, dump_structure, load_pointed
 from linspect.unravel import ml_unravel, pr_unravel, tree_unravel
 
 from conftest import pointed_pairs, plain_structures
@@ -238,6 +251,10 @@ class TestEf:
         with pytest.raises(ValueError):
             solve_ef(chain2(), chain3(), 1, ("n0",), ())
 
+    def test_negative_rounds(self):
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            solve_ef(chain2(), chain3(), -1)
+
     @given(plain_structures(), plain_structures(), st.integers(min_value=1, max_value=2))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_rounds(self, a, b, r):
@@ -361,3 +378,266 @@ class TestSerializedPebbledGames:
             ra = forest_from_dict(forest_to_dict(fa))
             rb = forest_from_dict(forest_to_dict(fb))
             assert solve_back_and_forth(ra, rb, "full").winner == direct
+
+
+# --- reference oracles: the recursive solvers that ``games._solve`` replaced --
+
+
+def ref_back_and_forth(x, y, variant):
+    modal = x.kind == "modal"
+    reflect = variant != "existential_positive"
+    bottom = _bottom(x, y)
+
+    def step_ok(u, v):
+        if modal:
+            vu, vv = x.valuation[u], y.valuation[v]
+            vals_ok = vu == vv if reflect else vu <= vv
+            return vals_ok and x.action_in.get(u) == y.action_in.get(v)
+        cu = x.path_to_root(u) if u is not None else ()
+        cv = y.path_to_root(v) if v is not None else ()
+        return _pebbled_compatible(x, cu, y, cv, reflect, prefix_checked=max(len(cu) - 1, 0))
+
+    duplicator_table, spoiler_table, memo = {}, {}, {}
+
+    def win(pos):
+        if pos in memo:
+            return memo[pos]
+        result = True
+        for move in _moves(x, y, pos, variant):
+            answer = next(
+                (
+                    w
+                    for w in _answers(x, y, pos, move)
+                    if step_ok(*_after(move, w)) and win(_after(move, w))
+                ),
+                None,
+            )
+            if answer is None:
+                result = False
+                spoiler_table[pos] = move
+                break
+            duplicator_table[(pos, move)] = (_OTHER_SIDE[move[0]], answer)
+        memo[pos] = result
+        return result
+
+    if modal and not step_ok(*bottom):
+        return GameResult(SPOILER, {"initial": "root labels differ"})
+    if win(bottom):
+        reachable = {
+            (pos, move): response
+            for pos, move, response in _strategy_walk(x, y, variant, duplicator_table)
+            if response is not None
+        }
+        return GameResult(DUPLICATOR, reachable)
+    return GameResult(SPOILER, dict(spoiler_table))
+
+
+def ref_bisim(a, b, k):
+    memo, spoiler_line = {}, {}
+
+    def moves(x, y):
+        for act in a.signature.actions:
+            xs, ys = a.base.successors(x, act), b.base.successors(y, act)
+            for x2 in xs:
+                yield ("left", act, x2), [(x2, y2) for y2 in ys]
+            for y2 in ys:
+                yield ("right", act, y2), [(x2, y2) for x2 in xs]
+
+    def win(x, y, depth):
+        key = (x, y, depth)
+        if key in memo:
+            return memo[key]
+        result = a.base.valuation(x) == b.base.valuation(y)
+        if not result:
+            spoiler_line[key] = ("labels", x, y)
+        elif depth > 0:
+            for move, answers in moves(x, y):
+                if not any(win(x2, y2, depth - 1) for x2, y2 in answers):
+                    result = False
+                    spoiler_line[key] = move
+                    break
+        memo[key] = result
+        return result
+
+    if win(a.point, b.point, k):
+        return GameResult(DUPLICATOR, frozenset(key for key, value in memo.items() if value))
+    return GameResult(SPOILER, dict(spoiler_line))
+
+
+def ref_ppeb(a, b, k, n):
+    duplicator_table, spoiler_table, memo = {}, {}, {}
+
+    def survives(gamma, remaining):
+        return _pairs_partial_iso([pair for _, pair in gamma], a, b, True) and win(gamma, remaining)
+
+    def win(gamma, remaining):
+        key = (gamma, remaining)
+        if key in memo:
+            return memo[key]
+        result = True
+        if remaining > 0:
+            for move in _placements(a, b, k):
+                target = b if move[0] == "A" else a
+                answer = next(
+                    (
+                        w
+                        for w in target.universe
+                        if survives(_place(gamma, move, w), remaining - 1)
+                    ),
+                    None,
+                )
+                if answer is None:
+                    result = False
+                    spoiler_table[key] = move
+                    break
+                duplicator_table[(key, move)] = answer
+        memo[key] = result
+        return result
+
+    if win((), n):
+        return GameResult(DUPLICATOR, dict(duplicator_table))
+    return GameResult(SPOILER, dict(spoiler_table))
+
+
+def ref_ef(a, b, r, tuple_a=(), tuple_b=()):
+    memo = {}
+
+    def win(pairs, rounds):
+        key = (pairs, rounds)
+        if key in memo:
+            return memo[key]
+        result = _pairs_partial_iso(pairs, a, b, True) and (
+            rounds == 0
+            or all(any(win(pairs | {(x, y)}, rounds - 1) for y in b.universe) for x in a.universe)
+            and all(any(win(pairs | {(x, y)}, rounds - 1) for x in a.universe) for y in b.universe)
+        )
+        memo[key] = result
+        return result
+
+    return GameResult(DUPLICATOR if win(frozenset(zip(tuple_a, tuple_b)), r) else SPOILER)
+
+
+def ref_modal_mapping(x, y, kind):
+    cond = _modal_step_cond(x, y, kind)
+    memo = {}
+
+    def win(u, v):
+        key = (u, v)
+        if key in memo:
+            return memo[key]
+        result = cond(u, v) and all(
+            any(win(u2, v2) for v2 in y.children(v)) for u2 in x.children(u)
+        )
+        memo[key] = result
+        return result
+
+    start = {}
+    for ru in x.roots:
+        rv = next((r for r in y.roots if win(ru, r)), None)
+        if rv is None:
+            return None
+        start[ru] = rv
+    mapping = {}
+    stack = list(start.items())
+    while stack:
+        u, v = stack.pop()
+        mapping[u] = v
+        for u2 in x.children(u):
+            stack.append((u2, next(v2 for v2 in y.children(v) if win(u2, v2))))
+    return mapping
+
+
+VARIANTS = ("full", "existential", "existential_positive")
+
+
+class TestAgainstRecursiveReferences:
+    """The one solver reproduces the recursive solvers' verdicts and tables."""
+
+    @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_back_and_forth_on_modal_unravelings(self, pair, k):
+        a, b = pair
+        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (tree_unravel(a, k), tree_unravel(b, k))):
+            for variant in VARIANTS:
+                assert solve_back_and_forth(x, y, variant) == ref_back_and_forth(x, y, variant)
+
+    @given(plain_structures(max_size=2), plain_structures(max_size=2),
+           st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_back_and_forth_on_pr_unravelings(self, s, t, k, n):
+        x, y = pr_unravel(s, k, n)[0], pr_unravel(t, k, n)[0]
+        for variant in VARIANTS:
+            assert solve_back_and_forth(x, y, variant) == ref_back_and_forth(x, y, variant)
+
+    @given(pointed_pairs(max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_bisim_past_the_depth_cap(self, pair):
+        a, b = pair
+        cap = len(a.base.universe) + len(b.base.universe)
+        root = (a.point, b.point)
+        for k in range(cap + 4):
+            got, want = solve_bisim(a, b, k), ref_bisim(a, b, k)
+            assert got.winner == want.winner, k
+            if k <= cap:
+                assert got.witness == want.witness, k
+            elif not got.duplicator_wins:
+                assert got.witness[(*root, k)] == want.witness[(*root, k)], k
+
+    @given(plain_structures(max_size=3), plain_structures(max_size=3),
+           st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=25, deadline=None)
+    def test_ppeb_tables(self, a, b, k, n):
+        assert solve_ppeb(a, b, k, n) == ref_ppeb(a, b, k, n)
+
+    @given(plain_structures(), plain_structures(), st.integers(min_value=0, max_value=2),
+           st.integers(min_value=0, max_value=1))
+    @settings(max_examples=25, deadline=None)
+    def test_ef_verdicts(self, a, b, r, pinned):
+        ta, tb = a.universe[:pinned], b.universe[:pinned]
+        assert solve_ef(a, b, r, ta, tb) == ref_ef(a, b, r, ta, tb)
+
+    @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_morphism_mappings(self, pair, k):
+        a, b = pair
+        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (tree_unravel(a, k), tree_unravel(b, k))):
+            for kind in ("homomorphism", "pathwise_embedding"):
+                found = find_morphism(x, y, kind)
+                assert (found and found.mapping) == ref_modal_mapping(x, y, kind)
+
+
+def line(n: int, cycle: bool) -> str:
+    """An a-line of n states with p at every third one, closed into a cycle
+    or ending in a terminal state."""
+    sig = Signature((("p", 1), ("a", 2)), modal=True)
+    states = tuple(f"s{i}" for i in range(n))
+    edges = {(states[i], states[(i + 1) % n]) for i in range(n if cycle else n - 1)}
+    props = {(states[i],) for i in range(0, n, 3)}
+    return dump_structure(Structure(sig, states, {"p": props, "a": edges}), "s0")
+
+
+class TestDeepBisim:
+    """Bisimulation at k = 2000 answers; the rounds below the root are capped
+    at |A| + |B|."""
+
+    def test_cycles_at_k_2000(self, capsys, tmp_path):
+        (tmp_path / "c150.json").write_text(line(150, True))
+        (tmp_path / "c300.json").write_text(line(300, True))
+        code = main(["check", "--rel", "bisim", "-k", "2000",
+                     str(tmp_path / "c150.json"), str(tmp_path / "c300.json")])
+        assert (code, capsys.readouterr().out) == (0, "TRUE\n")
+        # one state pair per level: the root and the 451 capped levels below it
+        a, b = load_pointed(str(tmp_path / "c150.json")), load_pointed(str(tmp_path / "c300.json"))
+        assert len(solve_bisim(a, b, 2000).witness) == 452
+
+    def test_chain_at_k_2000(self, capsys, tmp_path):
+        (tmp_path / "long.json").write_text(line(5000, False))
+        (tmp_path / "short.json").write_text(line(1500, False))
+        long, short = str(tmp_path / "long.json"), str(tmp_path / "short.json")
+        assert main(["check", "--rel", "bisim", "-k", "2000", long, long]) == 0
+        assert capsys.readouterr().out == "TRUE\n"
+        # the short line ends 1499 steps down, and Spoiler walks there
+        assert main(["check", "--rel", "bisim", "-k", "2000", long, short]) == 1
+        assert capsys.readouterr().out == (
+            "FALSE\nspoiler: (('s0', 's0', 2000), ('left', 'a', 's1'))\n"
+        )

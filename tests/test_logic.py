@@ -286,6 +286,18 @@ class TestEvaluators:
         assert truth_vectors([chain, chain.body], [start, next_]) == [(True, False), (False, True)]
 
 
+    def test_repr_of_a_deep_chain(self):
+        boxes = Prop("p")
+        for _ in range(3000):
+            boxes = Box("a", boxes)
+        assert repr(boxes) == "Box(action='a', body=" * 3000 + "Prop(name='p')" + ")" * 3000
+        f = And((Or((NegProp("q"),)), GDia(">=", 2, "b", TT), Or(())))
+        assert repr(f) == (
+            "And(items=(Or(items=(NegProp(name='q'),)), "
+            "GDia(cmp='>=', count=2, action='b', body=Verum()), Or(items=())))"
+        )
+
+
 class TestEval:
     def test_deadlock_on_terminal(self):
         p = PointedStructure(Structure(fix4().signature, ("z",), {}), "z")

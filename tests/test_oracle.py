@@ -149,6 +149,14 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("cor74", 3, 3, 5, 0)
 
+    def test_lemma83_budget_refusal(self, capsys):
+        from linspect.cli import main
+
+        with pytest.raises(ValueError, match="budget"):
+            run_suite("lemma83", 7, 2, 5, 0)
+        assert main(["verify", "--suite", "lemma83", "--size", "4", "-k", "3"]) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_cor74_small(self):
         report = run_suite("cor74", 2, 1, 10, 3)
         assert report.fail == 0, report.render()
@@ -525,5 +533,9 @@ class TestDepthFiveThousand:
     def test_leaf_without_p(self):
         x, y = deep_chain("n"), deep_chain("m", leaf_has_p=False)
         assert find_morphism(x, y, "isomorphism") is None
+        assert find_morphism(x, y, "homomorphism") is None
+        assert find_morphism(y, x, "pathwise_embedding") is None
+        witness = find_morphism(y, x, "homomorphism")
+        assert witness.mapping == {f"m{i}": f"n{i}" for i in range(DEEP + 1)}
         assert forest_canon(x) != forest_canon(y)
         assert not pointed_iso(as_pointed(x), as_pointed(y))

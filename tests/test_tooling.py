@@ -111,17 +111,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "linspect"
 # Functions that still call themselves by name, as module.qualname.  No
 # recursion may depend on input depth, so this list may only shrink.
 SELF_RECURSIVE = {
-    "games.replay_spoiler.defeated",
-    "games.solve_back_and_forth.win",
-    "games.solve_bisim.win",
-    "games.solve_ef.win",
-    "logic._graded_candidates.build",
     "logic.parse_formula.parse",
-    "logic.synth_ready_formula.build",
-    "logic.synth_trace_formula.build",
-    "oracle._modal_mapping_search.win",
     "oracle.pointed_iso.extend",
-    "unravel.pr_unravel.extend",
 }
 
 
@@ -151,7 +142,7 @@ def self_recursive_functions() -> set:
 
 
 def test_no_new_self_recursion():
-    assert len(SELF_RECURSIVE) <= 11, "the allow-list may only shrink"
+    assert len(SELF_RECURSIVE) <= 2, "the allow-list may only shrink"
     found = self_recursive_functions()
     assert found - SELF_RECURSIVE == set(), "new self-recursive functions"
     assert SELF_RECURSIVE - found == set(), "no longer recursive: drop from the list"
