@@ -488,16 +488,20 @@ _FOLDS = {
 }
 
 
-def _holds_at(f: Formula, s: Structure, w: str) -> bool:
+def _holds_at(
+    f: Formula, s: Structure, w: str, memo: Optional[dict[tuple[Formula, str], bool]] = None
+) -> bool:
     """Does ``f`` hold at ``w``: evaluated locally from ``w`` with an explicit
-    stack, each (node, state) with subformulas decided once.
+    stack, each (node, state) with subformulas decided once; callers that ask
+    many questions of one structure share ``memo`` between them.
 
     A frame is [query, its (subformula, state) queries, the value it counts,
     how many of those decide it, its value once decided]; it takes the
     opposite value when its queries run out first, so it stops at the first
     value that decides it.  The bottom frame asks (f, w) alone.
     """
-    memo: dict[tuple[Formula, str], bool] = {}
+    if memo is None:
+        memo = {}
     stack = [[None, iter(((f, w),)), True, 1, True]]
     done: Optional[bool] = None  # the value of the frame closed last
     while True:
@@ -724,12 +728,51 @@ def classify(f: Formula) -> ClassifyResult:
 SYNTH_FRAGMENTS = ("DiamondPos", "Diamond", "DeadlockDiamond", "Graded")
 
 
-def _literals(p: PointedStructure, element: str, negated: bool) -> list[Formula]:
-    val = p.base.valuation(element)
-    lits: list[Formula] = [Prop(x) for x in sorted(val)]
-    if negated:
-        lits += [NegProp(x) for x in sorted(set(p.signature.propositions) - val)]
-    return lits
+class _Builder:
+    """Builds the formulas read off the runs of one structure, from the last
+    state back, and shares their parts: each state's literals (negated ones
+    too unless ``positive``), each conjunction of a state's literals with
+    further items, and the (node, state) values that graded counts ask for.
+    """
+
+    def __init__(self, p: PointedStructure, positive: bool = False) -> None:
+        self.p = p
+        self.positive = positive
+        self.literals: dict[str, list[Formula]] = {}
+        self.steps: dict[tuple[str, tuple[Formula, ...]], Formula] = {}
+        self.memo: dict[tuple[Formula, str], bool] = {}  # for _holds_at on p
+
+    def step(self, w: str, items: tuple[Formula, ...]) -> Formula:
+        """The conjunction of the literals of ``w`` with the items."""
+        node = self.steps.get((w, items))
+        if node is None:
+            lits = self.literals.get(w)
+            if lits is None:
+                val = self.p.base.valuation(w)
+                lits = [Prop(x) for x in sorted(val)]
+                if not self.positive:
+                    lits += [NegProp(x) for x in sorted(set(self.p.signature.propositions) - val)]
+                self.literals[w] = lits
+            node = self.steps[(w, items)] = conj(lits + list(items))
+        return node
+
+    def trace(self, run: Run, fragment: str) -> Formula:
+        """``synth_trace_formula`` of the run."""
+        s = self.p.base
+        body = self.step(
+            run.last,
+            (DEADLOCK,) if fragment == "DeadlockDiamond" and s.is_terminal(run.last) else (),
+        )
+        for i in range(len(run) - 1, -1, -1):
+            w, action = run.states[i], run.actions[i]
+            if fragment == "Graded":
+                # the exact number of successors that continue this way; raw
+                # successor counts would not be satisfied by the source itself
+                m = sum(1 for v in s.successors(w, action) if _holds_at(body, s, v, self.memo))
+                body = self.step(w, (exact_count(action, m, body),))
+            else:
+                body = self.step(w, (Dia(action, body),))
+        return body
 
 
 def synth_trace_formula(
@@ -743,37 +786,15 @@ def synth_trace_formula(
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
-    negated = fragment != "DiamondPos"
-
-    # built from the last state back: each formula is the body of the next
-    body = TT
-    for i in range(len(run), -1, -1):
-        items = _literals(p, run.states[i], negated)
-        if i == len(run):
-            if fragment == "DeadlockDiamond" and p.base.is_terminal(run.states[i]):
-                items.append(DEADLOCK)
-        else:
-            action = run.actions[i]
-            if fragment == "Graded":
-                # the exact number of successors that continue this way; raw
-                # successor counts would not be satisfied by the source itself
-                m = sum(
-                    1
-                    for v in p.base.successors(run.states[i], action)
-                    if _holds_at(body, p.base, v)
-                )
-                items.append(exact_count(action, m, body))
-            else:
-                items.append(Dia(action, body))
-        body = conj(items)
-    return body
+    return _Builder(p, fragment == "DiamondPos").trace(run, fragment)
 
 
 def synth_characteristic(p: PointedStructure, k: int, fragment: str) -> Formula:
     """Conjunction of per-run formulas over all runs of length <= k."""
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
-    return conj([synth_trace_formula(p, run, fragment) for run in runs_upto(p, k)])
+    build = _Builder(p, fragment == "DiamondPos")
+    return conj([build.trace(run, fragment) for run in runs_upto(p, k)])
 
 
 def synth_ready_formula(rt: ReadyTrace, actions: Optional[Sequence[str]] = None) -> Formula:
@@ -812,42 +833,44 @@ def _runs_of_trace(p: PointedStructure, trace) -> list[Run]:
     ]
 
 
-def _graded_candidates(
-    p: PointedStructure, runs: Sequence[Run], k: int
-) -> Iterator[Formula]:
-    """Graded-fragment candidates derived from runs: per-level modality
-    variants plus terminal-profile detectors at the endpoint."""
-    actions = p.signature.actions
-    for run in runs:
-        yield synth_trace_formula(p, run, "Graded")
-        yield synth_trace_formula(p, run, "Diamond")
-        ends = run.states[-1]
-        end_profiles: list[list[Formula]] = [[]]
-        if len(run) < k:
-            profile = [
-                exact_count(g, len(p.base.successors(ends, g)), TT) for g in actions
-            ]
-            end_profiles.append(profile)
-        for extra in end_profiles:
-            for graded_levels in range(len(run) + 1):
-                for mode in ("=", ">=", "<="):
-                    # grade the first `graded_levels` transitions, plain
-                    # after; built from the last state back
-                    body = TT
-                    for i in range(len(run), -1, -1):
-                        items = _literals(p, run.states[i], True)
-                        if i == len(run):
-                            items.extend(extra)
-                        elif i < graded_levels:
-                            m = len(p.base.successors(run.states[i], run.actions[i]))
-                            if mode == "=":
-                                items.append(exact_count(run.actions[i], m, body))
-                            else:
-                                items.append(GDia(mode, m, run.actions[i], body))
+def _graded_candidates(p: PointedStructure, k: int) -> list[Formula]:
+    """Graded-fragment candidates from every run of ``p`` up to length k: the
+    run's graded trace formula, and its plain-diamond chain with the first
+    0 to len(run) transitions graded (=, >= or <= the raw successor count),
+    ending in the endpoint's literals alone or, below length k, together with
+    the endpoint's exact successor profile.  Each run's plain chain is built
+    once per end profile and each successor count once."""
+    build = _Builder(p)
+    fanout = {
+        (w, g): len(p.base.successors(w, g)) for w in p.base.universe for g in p.signature.actions
+    }
+    out: list[Formula] = []
+    for run in runs_upto(p, k):
+        out.append(build.trace(run, "Graded"))
+        n, states, actions = len(run), run.states, run.actions
+        counts = [fanout[(states[i], actions[i])] for i in range(n)]
+        ends: list[tuple[Formula, ...]] = [()]
+        if n < k:
+            ends.append(tuple(exact_count(g, fanout[(run.last, g)], TT) for g in p.signature.actions))
+        for extra in ends:
+            # chain[i] reads the run from state i on with plain diamonds
+            chain = [build.step(run.last, extra)]
+            for i in range(n - 1, -1, -1):
+                chain.append(build.step(states[i], (Dia(actions[i], chain[-1]),)))
+            chain.reverse()
+            out.append(chain[0])
+            # grade the first `levels` transitions on top of the chain
+            for mode in ("=", ">=", "<="):
+                for levels in range(1, n + 1):
+                    body = chain[levels]
+                    for i in range(levels - 1, -1, -1):
+                        if mode == "=":
+                            node = exact_count(actions[i], counts[i], body)
                         else:
-                            items.append(Dia(run.actions[i], body))
-                        body = conj(items)
-                    yield body
+                            node = GDia(mode, counts[i], actions[i], body)
+                        body = build.step(states[i], (node,))
+                    out.append(body)
+    return out
 
 
 def synth_distinguishing(
@@ -855,7 +878,16 @@ def synth_distinguishing(
 ) -> Optional[Formula]:
     """A formula of the fragment true on exactly one side, or None when the
     fragment's behavioural relation holds (both directions for the directed
-    relations)."""
+    relations).
+
+    The side with the failing relation's witness is the holder.  Candidates
+    are the trace formulas of the holder's runs of the witness trace, or for
+    Graded the ``_graded_candidates`` of both sides.  Of the distinct
+    candidates no deeper than k, ordered by ``(len(text), text)``, the first
+    that separates the pair and holds on the holder wins, else the first that
+    separates it.  Graded candidates are decided in one ``truth_vectors``
+    pass; the few others by ``eval_formula`` until one wins.
+    """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
     rel = _FRAGMENT_RELATION[fragment]
@@ -890,25 +922,20 @@ def synth_distinguishing(
             else:
                 candidates.append(synth_trace_formula(holder, run, fragment))
     else:
-        candidates.extend(_graded_candidates(holder, _runs_of_trace(holder, witness), k))
-        # widen to formulas derived from every run of either structure
-        candidates.extend(_graded_candidates(holder, runs_upto(holder, k), k))
-        candidates.extend(_graded_candidates(other, runs_upto(other, k), k))
+        # formulas derived from every run of either structure; the runs of
+        # the witness (no longer than k) are among the holder's
+        candidates = _graded_candidates(holder, k) + _graded_candidates(other, k)
 
-    seen = set()
-    ordered = []
-    for f in candidates:
-        key = render_formula(f)
-        if key not in seen:
-            seen.add(key)
-            ordered.append(f)
-    ordered.sort(key=lambda f: (len(render_formula(f)), render_formula(f)))
+    ordered = sorted(
+        dict.fromkeys(candidates), key=lambda f: (len(render_formula(f)), render_formula(f))
+    )
+    if fragment == "Graded":
+        values = truth_vectors(ordered, [a, b])
+    else:  # few candidates, evaluated until one wins
+        values = ((eval_formula(f, a), eval_formula(f, b)) for f in ordered)
     fallback = None
-    for f in ordered:
-        if modal_depth(f) > k:
-            continue
-        va, vb = eval_formula(f, a), eval_formula(f, b)
-        if va != vb:
+    for f, (va, vb) in zip(ordered, values):
+        if va != vb and modal_depth(f) <= k:
             holder_value = va if side == "left" else vb
             if holder_value:
                 return f

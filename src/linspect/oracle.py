@@ -572,24 +572,24 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
         return cp == cq
     sig = p.signature
 
-    def profile(s: Structure, e: str) -> tuple:
-        degs = []
-        for name, arity in sig.relations:
-            tuples = s.interp[name]
-            degs.append(
-                tuple(sum(1 for t in tuples if t[pos] == e) for pos in range(arity))
-            )
-        return tuple(degs)
+    def profiles(s: Structure) -> dict[str, tuple]:
+        """Each element's degree at each position of each relation, from one
+        pass over the tuples."""
+        degs = {e: [[0] * arity for _, arity in sig.relations] for e in s.universe}
+        for r, (name, _) in enumerate(sig.relations):
+            for t in s.interp[name]:
+                for pos, e in enumerate(t):
+                    degs[e][r][pos] += 1
+        return {e: tuple(map(tuple, d)) for e, d in degs.items()}
 
-    pprof = {e: profile(p.base, e) for e in p.base.universe}
-    qprof = {e: profile(q.base, e) for e in q.base.universe}
+    pprof, qprof = profiles(p.base), profiles(q.base)
     if sorted(pprof.values()) != sorted(qprof.values()):
         return False
 
     order = sorted(p.base.universe, key=lambda e: (pprof[e], e))
-    candidates = {
-        e: [f for f in q.base.universe if qprof[f] == pprof[e]] for e in order
-    }
+    alike: dict[tuple, list[str]] = {}  # profile -> the elements of q with it, in order
+    for f in q.base.universe:
+        alike.setdefault(qprof[f], []).append(f)
     p_tuples_of: dict[str, list[tuple[str, tuple]]] = {e: [] for e in p.base.universe}
     q_tuples_of: dict[str, list[tuple[str, tuple]]] = {f: [] for f in q.base.universe}
     for name, _ in sig.relations:
@@ -612,24 +612,31 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
                     return False
         return True
 
-    def extend(idx: int, mapping: dict[str, str], inverse: dict[str, str]) -> bool:
-        if idx == len(order):
-            return True
-        e = order[idx]
-        for f in candidates[e]:
-            if f in inverse:
-                continue
-            if (e == p.point) != (f == q.point):
+    # depth first along order: stack[i] iterates the images left to try for
+    # order[i], which stays mapped while the later elements are tried
+    mapping: dict[str, str] = {}
+    inverse: dict[str, str] = {}
+    stack = [iter(alike[pprof[order[0]]])]
+    while stack:
+        e = order[len(stack) - 1]
+        if e in mapping:  # no later element fits: undo this choice
+            del inverse[mapping.pop(e)]
+        for f in stack[-1]:
+            if f in inverse or (e == p.point) != (f == q.point):
                 continue
             mapping[e] = f
             inverse[f] = e
-            if consistent(e, mapping, inverse) and extend(idx + 1, mapping, inverse):
-                return True
+            if consistent(e, mapping, inverse):
+                break
             del mapping[e]
             del inverse[f]
-        return False
-
-    return extend(0, {}, {})
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            return True
+        stack.append(iter(alike[pprof[order[len(stack)]]]))
+    return False
 
 
 def _suite_prop85(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:

@@ -143,6 +143,21 @@ class TestUnravel:
         assert out == (REPO / "tests" / "golden" / golden).read_text()
 
 
+class TestDistinguishGolden:
+    def test_every_fixture_pair(self, capsys):
+        """Every fragment at k 0..3 on every ordered pair of pointed fixtures
+        with one signature prints the recorded formula and exit code."""
+        golden = json.loads((REPO / "tests" / "golden" / "distinguish_fixtures.json").read_text())
+        assert len(golden) == 288
+        changed = []
+        for key, expected in golden.items():
+            fragment, _, k, left, right = key.split()
+            got = list(run_cli(capsys, "distinguish", "--fragment", fragment, "-k", k, fx(left), fx(right))[:2])
+            if got != expected:
+                changed.append((key, expected, got))
+        assert changed == []
+
+
 class TestGameAndEval:
     def test_ef_chains(self, capsys):
         code, out, _ = run_cli(capsys, "game", "--type", "ef", "-r", "2", fx("chain2"), fx("chain3"))

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -25,6 +26,7 @@ from linspect.logic import (
     classify,
     conj,
     eval_formula,
+    exact_count,
     iter_subformulas,
     modal_depth,
     parse_formula,
@@ -36,9 +38,9 @@ from linspect.logic import (
     truth_vectors,
     _NODES,
 )
-from linspect.oracle import _enumerate_deadlock_formulas
+from linspect.oracle import _enumerate_deadlock_formulas, gen_pointed, suite_signature
 from linspect.structures import PointedStructure, Signature, Structure
-from linspect.traces import Run, ReadyTrace, check_trace_relation, runs_upto
+from linspect.traces import Run, ReadyTrace, check_trace_relation, enumerate_runs, runs_upto, trace_of
 from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_pairs, pointed_structures
@@ -493,6 +495,155 @@ class TestSynthDistinguishing:
                 assert fragment in classify(f).tags
                 assert modal_depth(f) <= k
                 assert eval_formula(f, a) != eval_formula(f, b)
+
+
+def _ref_trace_formula(p, run, fragment):
+    """Reference trace formula: literals, then one modality per transition,
+    graded counts by the reference evaluator at each successor."""
+    negated = fragment != "DiamondPos"
+    body = TT
+    for i in range(len(run), -1, -1):
+        w = run.states[i]
+        val = p.base.valuation(w)
+        items = [Prop(x) for x in sorted(val)]
+        if negated:
+            items += [NegProp(x) for x in sorted(set(p.signature.propositions) - val)]
+        if i == len(run):
+            if fragment == "DeadlockDiamond" and p.base.is_terminal(w):
+                items.append(DEADLOCK)
+        elif fragment == "Graded":
+            m = sum(1 for v in p.base.successors(w, run.actions[i]) if _eval_at(body, p, v))
+            items.append(exact_count(run.actions[i], m, body))
+        else:
+            items.append(Dia(run.actions[i], body))
+        body = conj(items)
+    return body
+
+
+def _ref_graded_candidates(p, runs, k):
+    """Reference graded candidates: every variant of every run built anew."""
+    for run in runs:
+        yield _ref_trace_formula(p, run, "Graded")
+        yield _ref_trace_formula(p, run, "Diamond")
+        end = run.states[-1]
+        end_profiles = [[]]
+        if len(run) < k:
+            end_profiles.append(
+                [exact_count(g, len(p.base.successors(end, g)), TT) for g in p.signature.actions]
+            )
+        for extra in end_profiles:
+            for graded_levels in range(len(run) + 1):
+                for mode in ("=", ">=", "<="):
+                    body = TT
+                    for i in range(len(run), -1, -1):
+                        w = run.states[i]
+                        val = p.base.valuation(w)
+                        items = [Prop(x) for x in sorted(val)]
+                        items += [NegProp(x) for x in sorted(set(p.signature.propositions) - val)]
+                        if i == len(run):
+                            items.extend(extra)
+                        elif i < graded_levels:
+                            m = len(p.base.successors(w, run.actions[i]))
+                            if mode == "=":
+                                items.append(exact_count(run.actions[i], m, body))
+                            else:
+                                items.append(GDia(mode, m, run.actions[i], body))
+                        else:
+                            items.append(Dia(run.actions[i], body))
+                        body = conj(items)
+                    yield body
+
+
+def _ref_synth_distinguishing(a, b, k, fragment):
+    """Reference selection: candidates from the witness's runs (and, for
+    Graded, from every run of either side up to k), deduplicated by text,
+    sorted by (length, text), cut to depth k and evaluated one at a time;
+    the first that separates the pair and holds on the witness side wins,
+    else the first that separates it."""
+    rel = {"DiamondPos": "tr", "Diamond": "ltr", "DeadlockDiamond": "cltr", "Graded": "gltr"}[fragment]
+    if rel in ("tr", "ltr"):
+        failing = [
+            (side, v)
+            for side, v in (
+                ("left", check_trace_relation(rel, a, b, k)),
+                ("right", check_trace_relation(rel, b, a, k)),
+            )
+            if not v.holds
+        ]
+        if not failing:
+            return None
+        side, verdict = failing[0]
+    else:
+        verdict = check_trace_relation(rel, a, b, k)
+        if verdict.holds:
+            return None
+        side = verdict.witness_side
+    holder, other = (a, b) if side == "left" else (b, a)
+    witness = verdict.witness
+    witness_runs = [
+        r for r in enumerate_runs(holder, len(witness))
+        if trace_of(holder, r).dropped() == witness.dropped()
+    ]
+    candidates = []
+    if fragment == "Graded":
+        candidates.extend(_ref_graded_candidates(holder, witness_runs, k))
+        candidates.extend(_ref_graded_candidates(holder, runs_upto(holder, k), k))
+        candidates.extend(_ref_graded_candidates(other, runs_upto(other, k), k))
+    else:
+        for run in witness_runs:
+            if witness.complete and not holder.base.is_terminal(run.last):
+                continue
+            if fragment == "DeadlockDiamond" and not witness.complete:
+                candidates.append(_ref_trace_formula(holder, run, "Diamond"))
+            else:
+                candidates.append(_ref_trace_formula(holder, run, fragment))
+    by_text = {}
+    for f in candidates:
+        by_text.setdefault(render_formula(f), f)
+    fallback = None
+    for text in sorted(by_text, key=lambda t: (len(t), t)):
+        f = by_text[text]
+        if modal_depth(f) > k:
+            continue
+        va, vb = _eval_at(f, a, a.point), _eval_at(f, b, b.point)
+        if va != vb:
+            if (va if side == "left" else vb):
+                return f
+            if fallback is None:
+                fallback = f
+    assert fallback is not None, "a failed relation always has a separating candidate"
+    return fallback
+
+
+@st.composite
+def synthesis_pairs(draw):
+    """Pairs of sizes 2-5 with 1-2 propositions: two independent draws, or a
+    structure and a copy with one proposition or edge toggled, so that pairs
+    far apart and pairs that differ late are both drawn."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    size = draw(st.integers(min_value=2, max_value=5))
+    sig = suite_signature(n_props=draw(st.integers(min_value=1, max_value=2)))
+    rng = random.Random(seed)
+    a = gen_pointed(sig, size, rng)
+    if draw(st.booleans()):
+        return a, gen_pointed(sig, size, rng)
+    interp = {name: set(tuples) for name, tuples in a.base.interp.items()}
+    name, arity = rng.choice(sig.relations)
+    interp[name] ^= {tuple(rng.choice(a.base.universe) for _ in range(arity))}
+    return a, PointedStructure(Structure(sig, a.base.universe, interp), a.point)
+
+
+class TestSynthDistinguishingAgreesWithReference:
+    @given(synthesis_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_same_node_for_every_fragment(self, pair):
+        a, b = pair
+        for fragment in ("DiamondPos", "Diamond", "DeadlockDiamond", "Graded"):
+            for k in (1, 2, 3):
+                for x, y in ((a, b), (b, a)):
+                    assert synth_distinguishing(x, y, k, fragment) is _ref_synth_distinguishing(
+                        x, y, k, fragment
+                    ), (fragment, k)
 
 
 class TestPreservation:
