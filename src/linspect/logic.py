@@ -8,7 +8,8 @@ shared nodes.  Two evaluators read that DAG:
 
 - ``truth_vectors`` evaluates a list of formulas over many structures at once,
   in one bottom-up pass over the distinct nodes, each extension an int bitmask
-  over the disjoint union of the structures (global model checking);
+  over the disjoint union of the structures, a ``UnionModel`` (global model
+  checking), which the cor74 suite also reads directly;
 - ``eval_formula`` evaluates one formula locally from the point, with an
   explicit stack memoised by (node, state), so a deep formula on a long chain
   visits only the states it reaches.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .structures import PointedStructure, Signature, Structure
 from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_of, ReadyTrace
@@ -543,48 +544,46 @@ def _holds_at(
         memo[frame[0]] = done
 
 
-def truth_vectors(
-    formulas: Sequence[Formula], structures: Sequence[PointedStructure]
-) -> list[tuple[bool, ...]]:
-    """For each formula, its truth value at the point of each structure.
+class UnionModel:
+    """The disjoint union of some pointed structures' bases as int bitmasks:
+    element i of the base at offset o is bit o + i of every mask, each base
+    counted once.  ``truth_vectors`` computes formula extensions on it, and
+    the cor74 suite computes its fragment's extensions on it directly."""
 
-    One pass over the distinct nodes reachable from the formulas computes each
-    node's extension bottom up, as one int bitmask over the disjoint union of
-    the structures (global model checking: Clarke, Emerson and Sistla, TOPLAS
-    1986).  Symbols are checked first, once per distinct node, with the error
-    ``eval_formula`` gives on the first failing (formula, structure) pair.
-    """
-    _check_symbols(formulas, [p.signature for p in structures])
-    # element i of the structure at offset o is bit o + i of every mask
-    offset: dict[int, int] = {}  # id(structure) -> its offset
-    holds: dict[str, int] = {}  # proposition -> where it holds
-    targets: dict[str, int] = {}  # action -> where it leads
-    sources: dict[str, dict[int, int]] = {}  # action -> target bit -> its sources
-    moving = 0  # where some action leads away
-    size = 0
-    for base in (p.base for p in structures):
-        if id(base) in offset:
-            continue
-        offset[id(base)] = size
-        bit = {e: size + i for i, e in enumerate(base.universe)}
-        size += len(base.universe)
-        for name in base.signature.propositions:
-            for (e,) in base.interp[name]:
-                holds[name] = holds.get(name, 0) | 1 << bit[e]
-        for act in base.signature.actions:
-            into = sources.setdefault(act, {})
-            for e, t in base.interp[act]:
-                into[bit[t]] = into.get(bit[t], 0) | 1 << bit[e]
-                targets[act] = targets.get(act, 0) | 1 << bit[t]
-                moving |= 1 << bit[e]
-    every = (1 << size) - 1
+    def __init__(self, structures: Sequence[PointedStructure]) -> None:
+        offset: dict[int, int] = {}  # id(structure) -> its offset
+        self.holds: dict[str, int] = {}  # proposition -> where it holds
+        self._targets: dict[str, int] = {}  # action -> where it leads
+        self._sources: dict[str, dict[int, int]] = {}  # action -> target bit -> its sources
+        moving = 0  # where some action leads away
+        size = 0
+        for base in (p.base for p in structures):
+            if id(base) in offset:
+                continue
+            offset[id(base)] = size
+            bit = {e: size + i for i, e in enumerate(base.universe)}
+            size += len(base.universe)
+            for name in base.signature.propositions:
+                for (e,) in base.interp[name]:
+                    self.holds[name] = self.holds.get(name, 0) | 1 << bit[e]
+            for act in base.signature.actions:
+                into = self._sources.setdefault(act, {})
+                for e, t in base.interp[act]:
+                    into[bit[t]] = into.get(bit[t], 0) | 1 << bit[e]
+                    self._targets[act] = self._targets.get(act, 0) | 1 << bit[t]
+                    moving |= 1 << bit[e]
+        self.every = (1 << size) - 1
+        self.deadlock = self.every & ~moving
+        self._points = [offset[id(p.base)] + p.base.universe.index(p.point) for p in structures]
+        self._at_points = sum(1 << b for b in set(self._points))
+        self._vectors: dict[int, tuple[bool, ...]] = {}  # masks share few vectors
 
-    def at_least(action: str, body: int, n: int) -> int:
+    def at_least(self, action: str, body: int, n: int) -> int:
         """Where at least n ``action``-successors lie in ``body``: level[j]
         gathers the states with at least j of them, one successor at a time."""
-        level = [every] + [0] * n
-        into = sources.get(action, {})
-        todo = body & targets.get(action, 0)
+        level = [self.every] + [0] * n
+        into = self._sources.get(action, {})
+        todo = body & self._targets.get(action, 0)
         while todo:
             low = todo & -todo
             todo ^= low
@@ -593,6 +592,33 @@ def truth_vectors(
                 level[j] |= level[j - 1] & pre
         return level[n]
 
+    def vectors(self, masks: Iterable[int]) -> list[tuple[bool, ...]]:
+        """Each mask's truth value at the point of each structure, in order;
+        equal vectors are one object."""
+        out = []
+        for mask in masks:
+            key = mask & self._at_points
+            vec = self._vectors.get(key)
+            if vec is None:
+                vec = self._vectors[key] = tuple(bool(key >> b & 1) for b in self._points)
+            out.append(vec)
+        return out
+
+
+def truth_vectors(
+    formulas: Sequence[Formula], structures: Sequence[PointedStructure]
+) -> list[tuple[bool, ...]]:
+    """For each formula, its truth value at the point of each structure.
+
+    One pass over the distinct nodes reachable from the formulas computes each
+    node's extension bottom up, as one ``UnionModel`` bitmask (global model
+    checking: Clarke, Emerson and Sistla, TOPLAS 1986).  Symbols are checked
+    first, once per distinct node, with the error ``eval_formula`` gives on
+    the first failing (formula, structure) pair.
+    """
+    _check_symbols(formulas, [p.signature for p in structures])
+    model = UnionModel(structures)
+    every, at_least = model.every, model.at_least
     ext: dict[Formula, int] = {}
     for g in _post_order(formulas):
         kind = type(g)
@@ -613,30 +639,19 @@ def truth_vectors(
         elif kind is GDia:
             mask = every & ~at_least(g.action, ext[g.body], g.count + 1)
         elif kind is Prop:
-            mask = holds.get(g.name, 0)
+            mask = model.holds.get(g.name, 0)
         elif kind is NegProp:
-            mask = every & ~holds.get(g.name, 0)
+            mask = every & ~model.holds.get(g.name, 0)
         elif kind is Verum:
             mask = every
         elif kind is Falsum:
             mask = 0
         elif kind is Deadlock:
-            mask = every & ~moving
+            mask = model.deadlock
         else:
             raise TypeError(f"not a formula: {g!r}")
         ext[g] = mask
-
-    points = [offset[id(p.base)] + p.base.universe.index(p.point) for p in structures]
-    at_points = sum(1 << b for b in set(points))
-    vectors: dict[int, tuple[bool, ...]] = {}  # the formulas share few vectors
-    out = []
-    for f in formulas:
-        key = ext[f] & at_points
-        vec = vectors.get(key)
-        if vec is None:
-            vec = vectors[key] = tuple(bool(key >> b & 1) for b in points)
-        out.append(vec)
-    return out
+    return model.vectors(ext[f] for f in formulas)
 
 
 # --- classification -----------------------------------------------------------
@@ -886,7 +901,8 @@ def synth_distinguishing(
     candidates no deeper than k, ordered by ``(len(text), text)``, the first
     that separates the pair and holds on the holder wins, else the first that
     separates it.  Graded candidates are decided in one ``truth_vectors``
-    pass; the few others by ``eval_formula`` until one wins.
+    pass before sorting, so only the separating ones are sorted; the few
+    others are sorted and evaluated by ``eval_formula`` until one wins.
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
@@ -926,15 +942,20 @@ def synth_distinguishing(
         # the witness (no longer than k) are among the holder's
         candidates = _graded_candidates(holder, k) + _graded_candidates(other, k)
 
-    ordered = sorted(
-        dict.fromkeys(candidates), key=lambda f: (len(render_formula(f)), render_formula(f))
-    )
-    if fragment == "Graded":
-        values = truth_vectors(ordered, [a, b])
+    def by_text(f: Formula) -> tuple[int, str]:
+        text = render_formula(f)
+        return (len(text), text)
+
+    unique = list(dict.fromkeys(candidates))
+    if fragment == "Graded":  # decided at once; only the separating ones are sorted
+        values = truth_vectors(unique, [a, b])
+        decided = sorted(
+            ((f, v) for f, v in zip(unique, values) if v[0] != v[1]), key=lambda fv: by_text(fv[0])
+        )
     else:  # few candidates, evaluated until one wins
-        values = ((eval_formula(f, a), eval_formula(f, b)) for f in ordered)
+        decided = ((f, (eval_formula(f, a), eval_formula(f, b))) for f in sorted(unique, key=by_text))
     fallback = None
-    for f, (va, vb) in zip(ordered, values):
+    for f, (va, vb) in decided:
         if va != vb and modal_depth(f) <= k:
             holder_value = va if side == "left" else vb
             if holder_value:

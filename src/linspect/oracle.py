@@ -11,6 +11,7 @@ paths, reporting agreements and the first counterexample found.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -53,6 +54,7 @@ from .logic import (
     NegProp,
     Or,
     Prop,
+    UnionModel,
     conj,
     eval_formula,
     modal_depth,
@@ -560,7 +562,10 @@ def _pointed_tree_canon(p: PointedStructure) -> Optional[tuple]:
 
 def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
     """Isomorphism of pointed structures: canonical forms for tree-shaped
-    inputs, exhaustive backtracking otherwise (desk scale)."""
+    inputs, exhaustive backtracking otherwise.  The search grows the mapping
+    outwards from the point along shared tuples, and tries for each element
+    only the neighbours of its anchor's image, so a connected structure is
+    matched one neighbour at a time."""
     if p.signature != q.signature:
         return False
     if len(p.base.universe) != len(q.base.universe):
@@ -586,7 +591,6 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
     if sorted(pprof.values()) != sorted(qprof.values()):
         return False
 
-    order = sorted(p.base.universe, key=lambda e: (pprof[e], e))
     alike: dict[tuple, list[str]] = {}  # profile -> the elements of q with it, in order
     for f in q.base.universe:
         alike.setdefault(qprof[f], []).append(f)
@@ -599,6 +603,37 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
         for t in q.base.interp[name]:
             for f in set(t):
                 q_tuples_of[f].append((name, t))
+
+    # the point first, then always an element sharing a tuple with one already
+    # ordered, its anchor, so that only the anchor's image's neighbours are
+    # tried for it; ties and new components go by (profile, name)
+    order: list[str] = []
+    placed: set[str] = set()
+    anchor: dict[str, str] = {}
+    rest = iter(sorted(p.base.universe, key=lambda e: (pprof[e], e)))
+    frontier = [(pprof[p.point], p.point)]
+    while len(order) < len(p.base.universe):
+        if not frontier:
+            e = next(e for e in rest if e not in placed)
+            frontier.append((pprof[e], e))
+        _, e = heapq.heappop(frontier)
+        if e in placed:
+            continue
+        placed.add(e)
+        order.append(e)
+        for _, t in p_tuples_of[e]:
+            for x in t:
+                if x not in placed:
+                    anchor.setdefault(x, e)
+                    heapq.heappush(frontier, (pprof[x], x))
+    q_next = {
+        f: list(dict.fromkeys(x for _, t in q_tuples_of[f] for x in t)) for f in q.base.universe
+    }
+
+    def images(e: str, mapping: dict[str, str]) -> list[str]:
+        if e in anchor:
+            return [f for f in q_next[mapping[anchor[e]]] if qprof[f] == pprof[e]]
+        return alike[pprof[e]]
 
     def consistent(e: str, mapping: dict[str, str], inverse: dict[str, str]) -> bool:
         for name, t in p_tuples_of[e]:
@@ -616,7 +651,7 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
     # order[i], which stays mapped while the later elements are tried
     mapping: dict[str, str] = {}
     inverse: dict[str, str] = {}
-    stack = [iter(alike[pprof[order[0]]])]
+    stack = [iter(images(order[0], mapping))]
     while stack:
         e = order[len(stack) - 1]
         if e in mapping:  # no later element fits: undo this choice
@@ -635,7 +670,7 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
             continue
         if len(stack) == len(order):
             return True
-        stack.append(iter(alike[pprof[order[len(stack)]]]))
+        stack.append(iter(images(order[len(stack)], mapping)))
     return False
 
 
@@ -710,9 +745,10 @@ def _suite_lemma313(size: int, k: int, samples: int, seed: int, length: int) -> 
 
 def _enumerate_deadlock_formulas(k: int, props: Sequence[str], actions: Sequence[str]):
     """All restricted-conjunction formulas of the deadlock-diamond fragment up
-    to depth k: consistent literal sets, optional deadlock, at most one
-    diamond.  Built one depth at a time; equal formulas are one node, so the
-    first occurrence of each is kept."""
+    to depth k, built one depth at a time: a literal set (none, p or not p for
+    each proposition), optional deadlock, and no diamond or one diamond over a
+    formula of the level below.  No two of them are equal, so level d has
+    3^|P| * 2 * (1 + |A| * n(d-1)) formulas, n(-1) = 0."""
     literal_sets: list[list[Formula]] = [[]]
     for p in props:
         literal_sets = [
@@ -724,18 +760,49 @@ def _enumerate_deadlock_formulas(k: int, props: Sequence[str], actions: Sequence
     for depth in range(k + 1):
         extras: list[list[Formula]] = [[]]
         extras += [[Dia(act, body)] for act in actions for body in level]
-        level = list(
-            dict.fromkeys(
-                conj(list(lits) + ([DEADLOCK] if dead else []) + extra)
-                for lits in literal_sets
-                for dead in (False, True)
-                for extra in extras
-            )
-        )
+        level = [
+            conj(list(lits) + ([DEADLOCK] if dead else []) + extra)
+            for lits in literal_sets
+            for dead in (False, True)
+            for extra in extras
+        ]
+    return level
+
+
+def _deadlock_masks(
+    k: int, props: Sequence[str], actions: Sequence[str], model: UnionModel
+) -> list[int]:
+    """The extension in ``model`` of each formula of
+    ``_enumerate_deadlock_formulas(k, props, actions)``, in its order, built
+    the same way one level at a time: each formula's mask is one AND of its
+    literal set's, its deadlock's and its diamond's masks."""
+    every = model.every
+    literal_sets = [every]
+    for p in props:
+        holds = model.holds.get(p, 0)
+        literal_sets = [m & extra for m in literal_sets for extra in (every, holds, every & ~holds)]
+    level: list[int] = []
+    for _ in range(k + 1):
+        extras = [every] + [model.at_least(act, body, 1) for act in actions for body in level]
+        level = [
+            lits & dead & extra
+            for lits in literal_sets
+            for dead in (every, model.deadlock)
+            for extra in extras
+        ]
     return level
 
 
 def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
+    """Rossman preservation on the deadlock-diamond fragment: every formula of
+    ``_enumerate_deadlock_formulas`` whose truth vector over the sampled
+    universe is closed under tr must agree with its positive rewriting, the
+    disjunction of the DiamondPos characteristic formulas of its tr-minimal
+    models.
+
+    The formulas are decided by their ``_deadlock_masks``, and each distinct
+    vector is checked once; formula nodes are built only to name a failure.
+    """
     if size > 3 or k > 2:
         raise ValueError(
             "cor74 runs only within its documented budget (size <= 3, k <= 2, "
@@ -751,8 +818,9 @@ def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> Sui
         if key not in seen_keys:
             seen_keys.add(key)
             universe.append(cand)
-    formulas = _enumerate_deadlock_formulas(k, sig.propositions, sig.actions)
-    report = SuiteReport("cor74", len(formulas))
+    model = UnionModel(universe)
+    vectors = model.vectors(_deadlock_masks(k, sig.propositions, sig.actions, model))
+    report = SuiteReport("cor74", len(vectors))
 
     tr_matrix = {
         (i, j): check_trace_relation("tr", x, y, k).holds
@@ -762,14 +830,10 @@ def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> Sui
     char_cache = {
         i: synth_characteristic(x, k, "DiamondPos") for i, x in enumerate(universe)
     }
-    # the formulas are distinct nodes, so one batch gives every vector once
-    vector_cache: dict[Formula, tuple[bool, ...]] = dict(
-        zip(formulas, truth_vectors(formulas, universe))
-    )
 
     # each distinct invariant vector, with its positive rewriting
     rewritings: dict[tuple[bool, ...], Formula] = {}
-    for vec in dict.fromkeys(vector_cache.values()):
+    for vec in dict.fromkeys(vectors):
         invariant = all(
             not (vec[i] and tr_matrix[(i, j)]) or vec[j]
             for i in range(len(universe))
@@ -789,18 +853,20 @@ def _suite_cor74(size: int, k: int, samples: int, seed: int, length: int) -> Sui
             rewritings[vec] = Or(tuple(char_cache[i] for i in minimal))
     revecs = dict(zip(rewritings, truth_vectors(list(rewritings.values()), universe)))
 
+    formulas: Optional[list[Formula]] = None  # enumerated to name the first failure
     checked_vectors: dict[tuple[bool, ...], Optional[str]] = {}
-    for fi, f in enumerate(formulas):
-        vec = vector_cache[f]
+    for fi, vec in enumerate(vectors):
         if vec not in checked_vectors:
             problem = None
             if revecs.get(vec, vec) != vec:
+                if formulas is None:
+                    formulas = _enumerate_deadlock_formulas(k, sig.propositions, sig.actions)
                 problem = (
-                    f"invariant formula {render_formula(f)} disagrees with its positive rewriting"
+                    f"invariant formula {render_formula(formulas[fi])} "
+                    "disagrees with its positive rewriting"
                 )
             checked_vectors[vec] = problem
         report.record(fi, checked_vectors[vec])
-    report.samples = len(formulas)
     return report
 
 

@@ -360,6 +360,13 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
 # --- pebble-sequence forest ---------------------------------------------------
 
 
+# the most steps ``pr_unravel`` may take: each of the (k |U|)^i pebble
+# sequences of length i builds i nodes and examines i^arity position tuples per
+# relation.  500,000 steps take about 2 s (2-vCPU VM, Python 3.11); verify's
+# thm54 at size 3, k 2 and len 4 takes 34,650
+PR_STEP_BUDGET = 500_000
+
+
 def pr_unravel(
     s: Structure, k: int, n: int
 ) -> tuple[ForestObject, dict[str, str]]:
@@ -367,10 +374,22 @@ def pr_unravel(
 
     A relation tuple holds at positions of one chain iff each position's pebble
     is not reused later (up to the tuple's maximal index) and the relation
-    holds on the placed elements in the source structure.
+    holds on the placed elements in the source structure.  Above
+    ``PR_STEP_BUDGET`` the forest is refused before it is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    arities = [arity for _, arity in s.signature.relations]
+    steps, sequences = 0, 1
+    for i in range(1, min(n, PR_STEP_BUDGET) + 1):  # each length adds at least i
+        sequences *= k * len(s.universe)
+        steps += sequences * (i + sum(i**arity for arity in arities))
+        if steps > PR_STEP_BUDGET:
+            raise ValueError(
+                f"pr_unravel runs only within its budget of {PR_STEP_BUDGET} steps (nodes "
+                f"and position tuples); k={k} and len={n} over {len(s.universe)} elements "
+                "take more"
+            )
     alphabet = [(pb, el) for pb in range(1, k + 1) for el in s.universe]
     nodes: list[str] = []
     parent: dict[str, str] = {}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from linspect.oracle import gen_pointed, gen_structure, suite_signature
-from linspect.structures import Signature
+from linspect.structures import Signature, Structure, dump_structure
 
 
 def seeded_pair(seed: int, size: int = 4, n_props: int = 1, n_actions: int = 2):
@@ -42,6 +42,16 @@ def plain_structures(draw, max_size: int = 3):
     seed = draw(st.integers(min_value=0, max_value=10**6))
     sig = Signature((("P", 1), ("R", 2)))
     return gen_structure(sig, max_size, random.Random(seed))
+
+
+def line(n: int, cycle: bool) -> str:
+    """An a-line of n states with p at every third one, closed into a cycle
+    or ending in a terminal state, as a structure file's text."""
+    sig = Signature((("p", 1), ("a", 2)), modal=True)
+    states = tuple(f"s{i}" for i in range(n))
+    edges = {(states[i], states[(i + 1) % n]) for i in range(n if cycle else n - 1)}
+    props = {(states[i],) for i in range(0, n, 3)}
+    return dump_structure(Structure(sig, states, {"p": props, "a": edges}), "s0")
 
 
 @pytest.fixture

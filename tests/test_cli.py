@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,11 @@ from linspect import cli
 from linspect.cli import main
 from linspect.fixtures import ALL_PLAIN, ALL_POINTED, write_fixture_files
 from linspect.games import solve_bisim
-from linspect.structures import load_structure, structure_from_dict
+from linspect.structures import load_pointed, load_structure, structure_from_dict
 from linspect.traces import check_trace_relation
+from linspect.unravel import forest_to_dict, ml_unravel
+
+from conftest import line
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"
@@ -356,3 +360,57 @@ class TestParserReuse:
             main(["check", "--rel", "tr", "-k", k, fx("fix1"), fx("fix2")])
         capsys.readouterr()
         assert built == []
+
+
+class TestFiveThousandStates:
+    """Every subcommand on a 5,000-state a-chain and a-cycle, p at every third
+    state: each answers (exit 0 or 1) or refuses (exit 2) within seconds."""
+
+    COMMANDS = [
+        *(("check", "--rel", rel, *bound, "{chain}", "{cycle}")
+          for rel in ("tr", "ltr", "cltr", "gltr", "rt", "bisim")
+          for bound in ((), ("--exact",))),
+        *(("distinguish", "--fragment", fragment, "{chain}", "{cycle}")
+          for fragment in ("pos", "diamond", "bot", "graded")),
+        ("eval", "--formula", "(dia a (dia a (dia a p)))", "{cycle}"),
+        *(("unravel", "--comonad", comonad, "-k", "2", "{chain}")
+          for comonad in ("ML", "TREE", "GRAFT")),
+        ("unravel", "--comonad", "PR", "-k", "1", "--len", "2", "{chain}"),
+        ("game", "--type", "bisim", "{chain}", "{cycle}"),
+        # -r 1: at the default -r 2 the element game has no budget yet
+        ("game", "--type", "ef", "-r", "1", "{chain}", "{cycle}"),
+        ("game", "--type", "ppeb", "-k", "1", "--len", "2", "{chain}", "{cycle}"),
+        ("game", "--type", "bf", "{chain_ml}", "{cycle_ml}"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("five_thousand")
+        paths = {}
+        for name, cycle in (("chain", False), ("cycle", True)):
+            paths[name] = root / f"{name}.json"
+            paths[name].write_text(line(5000, cycle))
+            paths[f"{name}_ml"] = root / f"{name}_ml.json"
+            forest, _ = ml_unravel(load_pointed(str(paths[name])), 3)
+            paths[f"{name}_ml"].write_text(json.dumps(forest_to_dict(forest)))
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=lambda argv: " ".join(a for a in argv if "{" not in a)
+    )
+    def test_answers_or_refuses(self, capsys, files, argv):
+        start = time.perf_counter()
+        code = main([arg.format(**files) for arg in argv])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert elapsed < 5.0
+        if code == 2:
+            assert err.startswith("error: ")
+
+    def test_pr_and_ppeb_refuse_with_their_budgets(self, capsys, files):
+        assert main(["unravel", "--comonad", "PR", "-k", "1", "--len", "2", files["chain"]]) == 2
+        assert "budget of 500000 steps" in capsys.readouterr().err
+        assert main(["game", "--type", "ppeb", "-k", "1", "--len", "2",
+                     files["chain"], files["cycle"]]) == 2
+        assert "budget of 5000000 position visits" in capsys.readouterr().err

@@ -29,10 +29,10 @@ from linspect.games import (
     solve_ppeb,
 )
 from linspect.oracle import _modal_step_cond, find_morphism
-from linspect.structures import Signature, Structure, dump_structure, load_pointed
+from linspect.structures import Signature, Structure, load_pointed
 from linspect.unravel import ml_unravel, pr_unravel, tree_unravel
 
-from conftest import pointed_pairs, plain_structures
+from conftest import line, pointed_pairs, plain_structures
 
 
 def cycle(n: int) -> Structure:
@@ -225,6 +225,10 @@ class TestPpeb:
     def test_requires_a_pebble(self):
         with pytest.raises(ValueError):
             solve_ppeb(chain2(), chain2(), 0, 1)
+
+    def test_budget_refuses_before_playing(self):
+        with pytest.raises(ValueError, match="budget of 5000000 position visits"):
+            solve_ppeb(cycle(60), cycle(60), 2, 3)
 
     @given(plain_structures(), plain_structures(), st.integers(min_value=1, max_value=3))
     @settings(max_examples=25, deadline=None)
@@ -604,16 +608,6 @@ class TestAgainstRecursiveReferences:
             for kind in ("homomorphism", "pathwise_embedding"):
                 found = find_morphism(x, y, kind)
                 assert (found and found.mapping) == ref_modal_mapping(x, y, kind)
-
-
-def line(n: int, cycle: bool) -> str:
-    """An a-line of n states with p at every third one, closed into a cycle
-    or ending in a terminal state."""
-    sig = Signature((("p", 1), ("a", 2)), modal=True)
-    states = tuple(f"s{i}" for i in range(n))
-    edges = {(states[i], states[(i + 1) % n]) for i in range(n if cycle else n - 1)}
-    props = {(states[i],) for i in range(0, n, 3)}
-    return dump_structure(Structure(sig, states, {"p": props, "a": edges}), "s0")
 
 
 class TestDeepBisim:

@@ -1,4 +1,7 @@
+import functools
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -7,12 +10,17 @@ from hypothesis import strategies as st
 
 from linspect.fixtures import fix1, fix2, fix3, fix4, loop
 from linspect.games import solve_back_and_forth, solve_bisim
-from linspect.logic import parse_formula
+from linspect import oracle
+from linspect.logic import FF, Or, UnionModel, parse_formula, render_formula, truth_vectors
 from linspect.oracle import (
+    SuiteReport,
+    _deadlock_masks,
+    _enumerate_deadlock_formulas,
     _pointed_tree_canon,
     check_open_embedding,
     find_morphism,
     forest_canon,
+    gen_pointed,
     pointed_iso,
     replay_prop86,
     run_suite,
@@ -30,7 +38,7 @@ from linspect.unravel import (
     tree_unravel,
 )
 
-from conftest import plain_structures, pointed_pairs, seeded_pair
+from conftest import plain_structures, pointed_pairs, pointed_structures, seeded_pair
 
 
 class TestFindMorphism:
@@ -247,6 +255,59 @@ class TestPointedIso:
         cycle = PointedStructure(Structure(Signature((("a", 2),)), names, {"a": edges}), names[0])
         assert _pointed_tree_canon(cycle) is None
         assert pointed_iso(cycle, cycle)
+
+
+def marked_cycle(n: int, marks=None, point: int = 0, first: int = 0) -> PointedStructure:
+    """An a-cycle on s<first>..s<first+n-1> with p at every third state (or at
+    ``marks``), named so that name order is not cycle order past s9."""
+    names = tuple(f"s{first + i}" for i in range(n))
+    marks = range(0, n, 3) if marks is None else marks
+    interp = {
+        "p": frozenset((names[i],) for i in marks),
+        "a": frozenset(zip(names, names[1:] + names[:1])),
+    }
+    return PointedStructure(Structure(Signature((("p", 1), ("a", 2))), names, interp), names[point])
+
+
+class TestPointedIsoSearchOrder:
+    @pytest.mark.parametrize("n", [30, 300])
+    def test_marked_cycle_answers_fast(self, n):
+        c = marked_cycle(n)
+        moved = marked_cycle(n, marks=[*range(0, n - 3, 3), n - 2])
+        for q, want in ((c, True), (marked_cycle(n, point=3), True), (moved, False)):
+            start = time.perf_counter()
+            assert pointed_iso(c, q) is want
+            assert time.perf_counter() - start < 1.0
+
+    def test_agrees_with_reference(self):
+        """Cycles and unions of cycles, where the search starts new components."""
+        def two_cycles(n, m, point=0):
+            x, y = marked_cycle(n, point=point), marked_cycle(m, first=n)
+            interp = {name: x.base.interp[name] | y.base.interp[name] for name in ("p", "a")}
+            union = Structure(x.signature, x.base.universe + y.base.universe, interp)
+            return PointedStructure(union, x.point)
+
+        for n in range(4, 10):
+            cases = [
+                marked_cycle(n),
+                marked_cycle(n, point=1),
+                marked_cycle(n, point=3 % n),
+                marked_cycle(n, marks=[1]),
+                two_cycles(n - 2, 2),
+                two_cycles(2, n - 2, point=1),
+            ]
+            for p in cases:
+                for q in cases:
+                    assert pointed_iso(p, q) == ref_backtrack_iso(p, q)
+
+    @given(pointed_pairs(max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs_agree_with_reference(self, pair):
+        a, b = pair
+        copy = renamed(a.base)
+        a2 = PointedStructure(copy, copy.universe[a.base.universe.index(a.point)])
+        for p, q in ((a, b), (a, a2), (a2, b), (b, b)):
+            assert pointed_iso(p, q) == ref_pointed_iso(p, q)
 
 
 class TestPebbledMorphisms:
@@ -597,3 +658,101 @@ class TestDepthFiveThousand:
         assert witness.mapping == {f"m{i}": f"n{i}" for i in range(DEEP + 1)}
         assert forest_canon(x) != forest_canon(y)
         assert not pointed_iso(as_pointed(x), as_pointed(y))
+
+
+# --- cor74 by masks -------------------------------------------------------------
+
+
+@functools.cache
+def deadlock_formulas(k: int) -> list:
+    sig = suite_signature(n_props=2, n_actions=2)
+    return _enumerate_deadlock_formulas(k, sig.propositions, sig.actions)
+
+
+def ref_cor74(size: int, k: int, samples: int, seed: int) -> str:
+    """Reference cor74 report: every enumerated formula is built and decided
+    by ``truth_vectors``, each distinct vector checked once and named by its
+    first formula.  It reads ``synth_characteristic`` from the oracle module,
+    so a patch there reaches both sides."""
+    sig = suite_signature(n_props=2, n_actions=2)
+    universe, seen_keys = [], set()
+    for i in range(samples):
+        cand = gen_pointed(sig, size, random.Random(seed + i))
+        key = (cand.base.universe, tuple(sorted((n, tuple(sorted(t))) for n, t in cand.base.interp.items())))
+        if key not in seen_keys:
+            seen_keys.add(key)
+            universe.append(cand)
+    formulas = deadlock_formulas(k)
+    report = SuiteReport("cor74", len(formulas))
+    tr_matrix = {
+        (i, j): check_trace_relation("tr", x, y, k).holds
+        for i, x in enumerate(universe)
+        for j, y in enumerate(universe)
+    }
+    char_cache = {i: oracle.synth_characteristic(x, k, "DiamondPos") for i, x in enumerate(universe)}
+    vector_cache = dict(zip(formulas, truth_vectors(formulas, universe)))
+    rewritings = {}
+    for vec in dict.fromkeys(vector_cache.values()):
+        invariant = all(
+            not (vec[i] and tr_matrix[(i, j)]) or vec[j]
+            for i in range(len(universe))
+            for j in range(len(universe))
+        )
+        if invariant:
+            models = [i for i, v in enumerate(vec) if v]
+            minimal = [
+                i
+                for i in models
+                if not any(j != i and tr_matrix[(j, i)] and not tr_matrix[(i, j)] for j in models)
+            ]
+            rewritings[vec] = Or(tuple(char_cache[i] for i in minimal))
+    revecs = dict(zip(rewritings, truth_vectors(list(rewritings.values()), universe)))
+    checked_vectors = {}
+    for fi, f in enumerate(formulas):
+        vec = vector_cache[f]
+        if vec not in checked_vectors:
+            problem = None
+            if revecs.get(vec, vec) != vec:
+                problem = f"invariant formula {render_formula(f)} disagrees with its positive rewriting"
+            checked_vectors[vec] = problem
+        report.record(fi, checked_vectors[vec])
+    return report.render()
+
+
+class TestCor74ByMasks:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_reports_match_reference(self, size, k):
+        for samples in range(1, 11):
+            seed = 97 * samples + size
+            got = run_suite("cor74", size, k, samples, seed).render()
+            assert got == ref_cor74(size, k, samples, seed), (samples, seed)
+
+    @pytest.mark.parametrize(
+        "k, props, actions",
+        [(0, ("p",), ("a",)), (1, ("p", "q"), ("a",)), (2, ("p",), ("a", "b")), (1, (), ("a", "b", "c"))],
+    )
+    def test_enumeration_has_no_duplicates(self, k, props, actions):
+        fs = _enumerate_deadlock_formulas(k, props, actions)
+        n = 0
+        for _ in range(k + 1):
+            n = 3 ** len(props) * 2 * (1 + len(actions) * n)
+        assert len(fs) == len(set(fs)) == n
+
+    @given(st.lists(pointed_structures(max_size=3, n_props=2), min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=30, deadline=None)
+    def test_level_masks_match_truth_vectors(self, universe, k):
+        sig = suite_signature(n_props=2, n_actions=2)
+        model = UnionModel(universe)
+        masks = _deadlock_masks(k, sig.propositions, sig.actions, model)
+        assert model.vectors(masks) == truth_vectors(deadlock_formulas(k), universe)
+
+    @pytest.mark.parametrize("size, k, samples, seed", [(2, 1, 4, 3), (3, 2, 2, 8), (1, 0, 3, 0)])
+    def test_failures_are_named_like_the_reference(self, monkeypatch, size, k, samples, seed):
+        """With every rewriting false, each satisfiable invariant vector fails:
+        the failure lines name formulas built only for them."""
+        monkeypatch.setattr(oracle, "synth_characteristic", lambda *args: FF)
+        got = run_suite("cor74", size, k, samples, seed)
+        assert got.fail > 0
+        assert got.render() == ref_cor74(size, k, samples, seed)

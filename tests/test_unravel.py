@@ -215,6 +215,14 @@ class TestPrUnravel:
         with pytest.raises(ValueError):
             pr_unravel(s, 0, 1)
 
+    def test_budget_counts_nodes_and_tuples(self):
+        """One sequence per length, but len 200 means 20,100 nodes and 2.7
+        million position pairs: refused before anything is built."""
+        s = Structure(Signature((("R", 2),)), ("x",), {"R": frozenset({("x", "x")})})
+        assert pr_unravel(s, 1, 40)[0].node_count() == 40 * 41 // 2
+        with pytest.raises(ValueError, match="budget of 500000 steps"):
+            pr_unravel(s, 1, 200)
+
     def test_counit_and_condition_p(self):
         s = Structure(
             Signature((("P", 1), ("R", 2))),
