@@ -7,20 +7,26 @@ verdicts come with machine-checkable witnesses (a response table for the
 surviving player, or a winning attack for the other).
 
 ``_solve`` is the one solver: memoised backward induction with an explicit
-stack.  Every game, both replays and ``oracle``'s modal morphism search give
-it a winning condition and Spoiler's moves.  ``solve_bisim`` plays the rounds
-below the root at depth at most |A| + |B|: partition refinement on the disjoint
-union is stable from round |A| + |B| - 1 on (Kanellakis and Smolka 1990), so
-the cap changes neither the verdict nor the root's Spoiler move.
+stack.  Every game and both replays give it a winning condition and Spoiler's
+moves.  ``solve_bisim`` plays the rounds below the root at depth at most
+|A| + |B|: partition refinement on the disjoint union is stable from round
+|A| + |B| - 1 on (Kanellakis and Smolka 1990), so the cap changes neither the
+verdict nor the root's Spoiler move.
+
+Every back-and-forth game starts at the empty paths, whose one-step
+extensions are the roots: a root comparison is Spoiler's first move, and
+forests may have several roots.  ``oracle.find_morphism`` reads homomorphisms
+and pathwise embeddings off the existential-positive and existential games.
 
 Solvers and replays share one implementation of each job.  ``_partial_iso``
 is the partial-isomorphism check behind ``_pairs_partial_iso`` (pebble and
-element games) and ``_pebbled_compatible`` (pebbled paths); ``_path_condition``
-is the path condition behind ``path_iso`` and ``path_hom_compatible``.  The
-back-and-forth solver and its replays share ``_covers``, ``_bottom``,
-``_moves``, ``_answers``, ``_after``, ``_bf_moves`` and the strategy walk
-``_strategy_walk``; ``solve_ppeb`` and its replay share ``_pebble_game``.  The
-replays check the full path condition, not the solver's incremental one, so
+element games), ``_pebbled_compatible`` (pebbled paths) and the solver's
+pebbled step; ``_path_condition`` is the path condition behind ``path_iso``
+and ``path_hom_compatible``.  The back-and-forth solver and its replays share
+``_covers``, ``_moves``, ``_answers``, ``_after``, ``_bf_moves`` and the
+strategy walk ``_strategy_walk``; ``solve_ppeb`` and its replay share
+``_pebble_game``.  The solver checks only a position's newest pair, against
+each pebble's latest placement; the replays check the full path condition, so
 they stay an independent check.
 """
 
@@ -122,7 +128,6 @@ def _pebbled_compatible(
     y: ForestObject,
     cy: tuple[str, ...],
     reflect: bool,
-    prefix_checked: int = 0,
 ) -> bool:
     """Equal pebble sequences, and at every index the pairing of last
     placements is a partial isomorphism.
@@ -138,10 +143,8 @@ def _pebbled_compatible(
     if any(x.pebble[cx[j]] != y.pebble[cy[j]] for j in range(len(cx))):
         return False
     last: dict[int, tuple[str, str]] = {}  # pebble -> its last placement pair
-    for i, (u, v) in enumerate(zip(cx, cy)):
+    for u, v in zip(cx, cy):
         last[x.pebble[u]] = (u, v)
-        if i < prefix_checked:
-            continue
         placed = [(x.origin[u2], y.origin[v2]) for u2, v2 in last.values()]
         if not _partial_iso(placed, dict(last.values()), x, y, reflect):
             return False
@@ -236,17 +239,14 @@ def _solve(start, ok, moves) -> tuple[dict, dict, dict]:
 # a Spoiler move is ("left", u2) or ("right", v2), extending one path by a
 # covering step, and Duplicator answers with a node on the other side.
 
+_START = (None, None)
+
 _OTHER_SIDE = {"left": "right", "right": "left"}
 
 
 def _covers(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
     """The one-step extensions of the path ending at ``node``."""
     return forest.roots if node is None else forest.children(node)
-
-
-def _bottom(x: ForestObject, y: ForestObject) -> tuple:
-    """The initial position: the roots of modal forests, else the empty paths."""
-    return (x.roots[0], y.roots[0]) if x.kind == "modal" else (None, None)
 
 
 def _moves(x: ForestObject, y: ForestObject, pos: tuple, variant: Variant) -> list:
@@ -287,8 +287,7 @@ def _strategy_walk(x: ForestObject, y: ForestObject, variant: Variant, table: di
     position that the Duplicator table reaches from the initial position,
     depth first; ``response`` is None where the table has no entry, and the
     walk does not continue past it."""
-    bottom = _bottom(x, y)
-    stack, seen = [bottom], {bottom}
+    stack, seen = [_START], {_START}
     while stack:
         pos = stack.pop()
         for move in _moves(x, y, pos, variant):
@@ -307,41 +306,49 @@ def solve_back_and_forth(
 ) -> GameResult:
     """Solve the safety game on path pairs by memoized backward induction.
 
-    Positions are pairs of paths; the initial position is the pair of roots
-    (the empty paths for pebbled forests).  Spoiler extends a path by one
-    covering step; Duplicator must answer on the other side and keep the pair
-    inside the winning condition (path isomorphism, or a componentwise
-    morphism for the existential-positive variant).
+    Positions are pairs of paths, starting at the empty paths.  Spoiler
+    extends a path by one covering step; Duplicator must answer on the other
+    side and keep the pair inside the winning condition (path isomorphism, or
+    a componentwise morphism for the existential-positive variant).
     """
     if x.kind != y.kind:
         raise CategoryMismatch(f"cannot play {x.kind} against {y.kind}")
     if x.signature != y.signature:
         raise SignatureMismatch("the back-and-forth game requires matching signatures")
-    modal = x.kind == "modal"
     reflect = variant != "existential_positive"
-    if modal and (len(x.roots) != 1 or len(y.roots) != 1):
-        raise ValueError("modal game needs single-rooted forests")
-    bottom = _bottom(x, y)
+    if x.kind == "modal":
+
+        def pair_ok(u: str, v: str) -> bool:
+            vu, vv = x.valuation[u], y.valuation[v]
+            vals_ok = vu == vv if reflect else vu <= vv
+            return vals_ok and x.action_in.get(u) == y.action_in.get(v)
+
+    else:
+        # per side, node -> each pebble's latest placement on the node's path:
+        # the parent's map, which ``_solve`` made when it checked the parent
+        # pair, plus the node's own placement
+        latest_x: dict = {None: {}}
+        latest_y: dict = {None: {}}
+
+        def pair_ok(u: str, v: str) -> bool:
+            if x.pebble[u] != y.pebble[v]:
+                return False
+            for f, latest, node in ((x, latest_x, u), (y, latest_y, v)):
+                if node not in latest:
+                    latest[node] = {**latest[f.parent.get(node)], f.pebble[node]: node}
+            # equal pebble sequences, so both maps have the same pebbles
+            lu, lv = latest_x[u], latest_y[v]
+            placed = [(x.origin[lu[pb]], y.origin[lv[pb]]) for pb in lu]
+            return _partial_iso(placed, {lu[pb]: lv[pb] for pb in lu}, x, y, reflect)
 
     def step_ok(pos: tuple) -> bool:
         """The winning condition, checked on the freshly extended pair only:
         ``_solve`` reaches a position through the one before it."""
-        u, v = pos
-        if modal:
-            vu, vv = x.valuation[u], y.valuation[v]
-            vals_ok = vu == vv if reflect else vu <= vv
-            return vals_ok and x.action_in.get(u) == y.action_in.get(v)
-        cu = x.path_to_root(u) if u is not None else ()
-        cv = y.path_to_root(v) if v is not None else ()
-        return _pebbled_compatible(
-            x, cu, y, cv, reflect, prefix_checked=max(len(cu) - 1, 0)
-        )
+        return pos == _START or pair_ok(*pos)
 
-    if modal and not step_ok(bottom):
-        return GameResult(SPOILER, {"initial": "root labels differ"})
     moves = _bf_moves(x, y, lambda pos: _moves(x, y, pos, variant))
-    value, answer, refute = _solve(bottom, step_ok, moves)
-    if not value[bottom]:
+    value, answer, refute = _solve(_START, step_ok, moves)
+    if not value[_START]:
         return GameResult(SPOILER, refute)
     walk = _strategy_walk(x, y, variant, answer)
     return GameResult(DUPLICATOR, {(pos, m): r for pos, m, r in walk if r is not None})
@@ -363,8 +370,6 @@ def replay_duplicator(
     """Check a Duplicator table: every Spoiler move from every reachable
     position has a response that stays inside the winning condition."""
     ok = _replay_condition(x, y, variant)
-    if not ok(_bottom(x, y)):
-        return False
     return all(
         response is not None and ok(_after(move, response[1]))
         for _, move, response in _strategy_walk(x, y, variant, table)
@@ -377,12 +382,9 @@ def replay_spoiler(
     """Check a Spoiler table: following its moves, every Duplicator response
     chain eventually leaves the winning condition or strands Duplicator."""
     ok = _replay_condition(x, y, variant)
-    bottom = _bottom(x, y)
-    if isinstance(table, dict) and table.get("initial") is not None:
-        return not ok(bottom)
     # Spoiler's only move is the table's; where it has none, Duplicator wins
     moves = _bf_moves(x, y, lambda pos: [table[pos]] if pos in table else [])
-    return not _solve(bottom, ok, moves)[0][bottom]
+    return not _solve(_START, ok, moves)[0][_START]
 
 
 # --- depth-bounded bisimulation -------------------------------------------------

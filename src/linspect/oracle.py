@@ -1,8 +1,10 @@
 """Brute-force reference implementations (morphism / embedding / span /
 isomorphism search over forest objects) and the executable verification suites.
 
-One bottom-up labelling, ``_canon_ids``, decides isomorphism of forests and of
-tree-shaped pointed structures at any depth.
+Homomorphisms and pathwise embeddings of forests are read off the
+existential(-positive) back-and-forth game.  One bottom-up labelling,
+``_canon_ids``, decides isomorphism of forests and of tree-shaped pointed
+structures at any depth.
 
 Every suite draws reproducible samples via the seed protocol
 ``seed + sample_index`` and evaluates each claim through independent code
@@ -37,11 +39,6 @@ from .unravel import (
     tree_unravel,
 )
 from .games import (
-    PathHandle,
-    _covers,
-    _solve,
-    path_hom_compatible,
-    path_iso,
     solve_back_and_forth,
     solve_bisim,
     solve_ef,
@@ -85,58 +82,6 @@ def _modal_step_cond(x: ForestObject, y: ForestObject, kind: str) -> Callable:
         return x.valuation[u] == y.valuation[v]
 
     return cond
-
-
-def _modal_mapping_search(
-    x: ForestObject, y: ForestObject, kind: str
-) -> Optional[dict]:
-    """Memoized simulation search from a virtual position above both forests,
-    whose covers are the roots; children map independently on trees."""
-    cond = _modal_step_cond(x, y, kind)
-    start = (None, None)
-
-    def moves(pos: tuple):
-        u, v = pos
-        for u2 in _covers(x, u):
-            yield u2, ((v2, (u2, v2)) for v2 in _covers(y, v))
-
-    value, answer, _ = _solve(start, lambda pos: pos == start or cond(*pos), moves)
-    if not value[start]:
-        return None
-    mapping: dict[str, str] = {}
-    stack = [start]
-    while stack:
-        u, v = stack.pop()
-        for u2 in _covers(x, u):
-            mapping[u2] = answer[(u, v), u2]
-            stack.append((u2, mapping[u2]))
-    return mapping
-
-
-def _pebbled_mapping_search(
-    x: ForestObject, y: ForestObject, kind: str
-) -> Optional[dict]:
-    """Chains are disjoint, so each maps independently to a chain prefix."""
-    compatible = path_iso if kind == "pathwise_embedding" else path_hom_compatible
-    y_by_depth: dict[int, list[str]] = {}
-    for node in y.nodes:
-        y_by_depth.setdefault(y.depth(node), []).append(node)
-    mapping: dict[str, str] = {}
-    for leaf in (n for n in x.nodes if x.is_leaf(n)):
-        chain = x.path_to_root(leaf)
-        target = next(
-            (
-                v
-                for v in y_by_depth.get(len(chain) - 1, [])
-                if compatible(PathHandle(x, leaf), PathHandle(y, v))
-            ),
-            None,
-        )
-        if target is None:
-            return None
-        for node, image in zip(chain, y.path_to_root(target)):
-            mapping[node] = image
-    return mapping
 
 
 def _canon_ids(roots, children, label) -> tuple[dict[str, int], tuple]:
@@ -281,13 +226,20 @@ def check_open_embedding(
 
 
 def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[MorphismWitness]:
-    """Exhaustive search for the requested morphism kind; None is an answer."""
+    """Search for the requested morphism kind; None is an answer.
+
+    A homomorphism (pathwise embedding) is Duplicator's strategy in the
+    existential-positive (existential) back-and-forth game from x to y:
+    Duplicator's answers to Spoiler's moves map x's nodes.
+    """
     if x.kind != y.kind:
         raise ValueError("find_morphism needs same-category forests")
     if kind in ("homomorphism", "pathwise_embedding"):
-        search = _modal_mapping_search if x.kind == "modal" else _pebbled_mapping_search
-        mapping = search(x, y, kind)
-        return None if mapping is None else MorphismWitness(kind, mapping)
+        variant = "existential_positive" if kind == "homomorphism" else "existential"
+        result = solve_back_and_forth(x, y, variant)
+        if not result.duplicator_wins:
+            return None
+        return MorphismWitness(kind, {u: w for ((_, (_, u)), (_, w)) in result.witness.items()})
     if kind == "isomorphism":
         if len(x.nodes) != len(y.nodes):
             return None

@@ -11,6 +11,7 @@ therefore 1 + sum of the lengths of the maximal runs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -130,6 +131,53 @@ def check_condition_p(f: ForestObject) -> list[str]:
 # --- linear modal unraveling -------------------------------------------------
 
 
+# the most nodes ``ml_unravel`` and ``tree_unravel`` (so also ``ml_graft``) may
+# build: with two self-loops on one state, TREE at k 16 has 131,071 nodes and
+# ML at k 13 has 106,497, which took 2.8 s and 1.5 s to build and about 200 MB
+# each (2-vCPU VM, Python 3.11)
+UNRAVEL_NODE_BUDGET = 100_000
+
+
+def _node_count(p: PointedStructure, k: int, linear: bool, budget: float = math.inf) -> int:
+    """The node count of the depth-k linear (``linear``) or tree unraveling,
+    refused as soon as it is known to pass ``budget``.
+
+    Runs are counted, not built: one dict per length maps each state to the
+    number of runs ending there.  The tree has a node per run, the linear
+    unraveling 1 + the total length of the maximal runs.  The runs of length
+    i extend to disjoint sets of maximal runs, none shorter, so the count is
+    at least the shorter maximal runs' part plus i per run of length i.
+    """
+    level, count = {p.point: 1}, int(linear)
+    for i in range(max(k, 0) + 1):
+        following: dict[str, int] = {}
+        ended = 0  # runs of length i that end in a terminal state
+        for state, n in level.items():
+            targets = [t for act in p.signature.actions for t in p.base.successors(state, act)]
+            ended += 0 if targets else n
+            for t in targets:
+                following[t] = following.get(t, 0) + n
+        if linear:
+            bound = count + i * sum(level.values())
+            count += i * ended
+        else:
+            bound = count = count + sum(level.values())
+        if bound > budget:
+            raise ValueError(
+                f"{'ml' if linear else 'tree'}_unravel runs only within its budget of "
+                f"{budget} nodes; k={k} from {p.point!r} builds more"
+            )
+        if not following:  # every run is maximal: the bound is exact
+            break
+        level = following
+    return bound
+
+
+def ml_node_count(p: PointedStructure, k: int) -> int:
+    """The linear unraveling's size: 1 + the total maximal-run length."""
+    return _node_count(p, k, True)
+
+
 def _run_string(run: Run) -> str:
     steps = "".join(
         f">{act}:{state}" for act, state in zip(run.actions, run.states[1:])
@@ -187,6 +235,7 @@ def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str
     """
     if not p.signature.modal:
         raise NonModalSignature("ml_unravel requires a modal signature")
+    _node_count(p, k, True, UNRAVEL_NODE_BUDGET)
     valuation = p.base.valuation
 
     def steps():
@@ -206,15 +255,11 @@ def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str
     return forest, dict(forest.origin)
 
 
-def ml_node_count(p: PointedStructure, k: int) -> int:
-    """Closed form for the linear unraveling's size: 1 + total maximal-run length."""
-    return 1 + sum(len(r) for r in maximal_runs(p, k))
-
-
 def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
     """Depth-k synchronization tree: nodes are runs, children extend by a step."""
     if not p.signature.modal:
         raise NonModalSignature("tree_unravel requires a modal signature")
+    _node_count(p, k, False, UNRAVEL_NODE_BUDGET)
     valuation = p.base.valuation
 
     def steps():
@@ -361,7 +406,7 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
 
 
 # the most steps ``pr_unravel`` may take: each of the (k |U|)^i pebble
-# sequences of length i builds i nodes and examines i^arity position tuples per
+# sequences of length i builds i nodes and at most i^arity position tuples per
 # relation.  500,000 steps take about 2 s (2-vCPU VM, Python 3.11); verify's
 # thm54 at size 3, k 2 and len 4 takes 34,650
 PR_STEP_BUDGET = 500_000
@@ -372,9 +417,10 @@ def pr_unravel(
 ) -> tuple[ForestObject, dict[str, str]]:
     """Linear forest of pebble-placement sequences of length <= n over k pebbles.
 
-    A relation tuple holds at positions of one chain iff each position's pebble
-    is not reused later (up to the tuple's maximal index) and the relation
-    holds on the placed elements in the source structure.  Above
+    A relation tuple holds at positions of one chain iff the relation holds on
+    the placed elements in the source structure and every position is its
+    pebble's latest placement up to the tuple's last position.  Each chain is
+    walked once, keeping each pebble's latest position.  Above
     ``PR_STEP_BUDGET`` the forest is refused before it is built.
     """
     if k < 1:
@@ -401,29 +447,21 @@ def pr_unravel(
     def add_chain(seq: tuple[tuple[int, str], ...]) -> None:
         tag = "".join(f"({pb}:{el})" for pb, el in seq)
         ids = [f"{tag}|{i}" for i in range(1, len(seq) + 1)]
-        for i, node in enumerate(ids):
+        latest: dict[int, int] = {}  # pebble -> its latest position so far
+        for i, (node, (pb, el)) in enumerate(zip(ids, seq)):
             nodes.append(node)
-            origin[node] = seq[i][1]
-            pebble[node] = seq[i][0]
+            origin[node] = el
+            pebble[node] = pb
             if i == 0:
                 roots.append(node)
             else:
                 parent[node] = ids[i - 1]
-        for name, arity in s.signature.relations:
-            for combo in product(range(1, len(seq) + 1), repeat=arity):
-                top = max(combo)
-                ok = True
-                for idx in combo:
-                    reused = any(
-                        seq[j][0] == seq[idx - 1][0] for j in range(idx, top)
-                    )
-                    if reused:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if tuple(seq[idx - 1][1] for idx in combo) in s.interp[name]:
-                    tuples[name].add(tuple(ids[idx - 1] for idx in combo))
+            latest[pb] = i
+            # the tuples whose last position is i
+            for name, arity in s.signature.relations:
+                for combo in product(latest.values(), repeat=arity):
+                    if i in combo and tuple(seq[j][1] for j in combo) in s.interp[name]:
+                        tuples[name].add(tuple(ids[j] for j in combo))
 
     # every sequence in pre-order: a sequence, then its extensions in
     # alphabet order

@@ -9,7 +9,14 @@ from linspect import cli
 from linspect.cli import main
 from linspect.fixtures import ALL_PLAIN, ALL_POINTED, write_fixture_files
 from linspect.games import solve_bisim
-from linspect.structures import load_pointed, load_structure, structure_from_dict
+from linspect.structures import (
+    Signature,
+    Structure,
+    dump_structure,
+    load_pointed,
+    load_structure,
+    structure_from_dict,
+)
 from linspect.traces import check_trace_relation
 from linspect.unravel import forest_to_dict, ml_unravel
 
@@ -145,6 +152,33 @@ class TestUnravel:
         code, out, _ = run_cli(capsys, "unravel", "--comonad", *opts, fx(name))
         assert code == 0
         assert out == (REPO / "tests" / "golden" / golden).read_text()
+
+
+class TestUnravelNodeBudget:
+    """One state with an a- and a b-loop has 2^i runs of length i: ML and
+    TREE (and GRAFT, built on ML) answer at k 8 and refuse at k 20 before
+    building anything."""
+
+    @pytest.fixture
+    def two_loops(self, tmp_path):
+        sig = Signature((("a", 2), ("b", 2)), modal=True)
+        loops = {"a": frozenset({("x", "x")}), "b": frozenset({("x", "x")})}
+        path = tmp_path / "two_loops.json"
+        path.write_text(dump_structure(Structure(sig, ("x",), loops), "x"))
+        return str(path)
+
+    @pytest.mark.parametrize("comonad", ["ML", "TREE", "GRAFT"])
+    def test_answers_at_8_refuses_at_20(self, capsys, two_loops, comonad):
+        assert run_cli(capsys, "unravel", "--comonad", comonad, "-k", "8", two_loops)[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "unravel", "--comonad", comonad, "-k", "20", two_loops)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        unraveling = "tree_unravel" if comonad == "TREE" else "ml_unravel"
+        assert err == (
+            f"error: {unraveling} runs only within its budget of 100000 nodes; "
+            "k=20 from 'x' builds more\n"
+        )
 
 
 class TestDistinguishGolden:

@@ -13,7 +13,6 @@ from linspect.games import (
     _OTHER_SIDE,
     _after,
     _answers,
-    _bottom,
     _moves,
     _pairs_partial_iso,
     _pebbled_compatible,
@@ -23,6 +22,7 @@ from linspect.games import (
     path_hom_compatible,
     path_iso,
     replay_duplicator,
+    replay_spoiler,
     solve_back_and_forth,
     solve_bisim,
     solve_ef,
@@ -30,7 +30,7 @@ from linspect.games import (
 )
 from linspect.oracle import _modal_step_cond, find_morphism
 from linspect.structures import Signature, Structure, load_pointed
-from linspect.unravel import ml_unravel, pr_unravel, tree_unravel
+from linspect.unravel import coreflect, ml_unravel, pr_unravel, tree_unravel
 
 from conftest import line, pointed_pairs, plain_structures
 
@@ -136,6 +136,21 @@ class TestBackAndForth:
         )
         res = solve_back_and_forth(rich, poor, "full")
         assert res.winner == SPOILER
+        # Spoiler's first move, from the empty paths, picks the root
+        assert res.witness == {(None, None): ("left", rich.roots[0])}
+        assert replay_spoiler(rich, poor, "full", res.witness)
+
+    def test_multi_rooted_modal_forests(self):
+        # the roots are Spoiler's first moves from the empty paths
+        x = coreflect(tree_unravel(fix2(), 2))
+        y = tree_unravel(fix2(), 2)
+        assert len(x.roots) > 1
+        res = solve_back_and_forth(x, x, "full")
+        assert res.duplicator_wins
+        assert replay_duplicator(x, x, "full", res.witness)
+        assert solve_back_and_forth(x, y, "existential_positive").duplicator_wins
+        assert find_morphism(x, y, "homomorphism") is not None
+        assert find_morphism(x, x, "pathwise_embedding") is not None
 
     @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=2))
     @settings(max_examples=40, deadline=None)
@@ -390,7 +405,7 @@ class TestSerializedPebbledGames:
 def ref_back_and_forth(x, y, variant):
     modal = x.kind == "modal"
     reflect = variant != "existential_positive"
-    bottom = _bottom(x, y)
+    bottom = (None, None)
 
     def step_ok(u, v):
         if modal:
@@ -399,7 +414,7 @@ def ref_back_and_forth(x, y, variant):
             return vals_ok and x.action_in.get(u) == y.action_in.get(v)
         cu = x.path_to_root(u) if u is not None else ()
         cv = y.path_to_root(v) if v is not None else ()
-        return _pebbled_compatible(x, cu, y, cv, reflect, prefix_checked=max(len(cu) - 1, 0))
+        return _pebbled_compatible(x, cu, y, cv, reflect)
 
     duplicator_table, spoiler_table, memo = {}, {}, {}
 
@@ -424,8 +439,6 @@ def ref_back_and_forth(x, y, variant):
         memo[pos] = result
         return result
 
-    if modal and not step_ok(*bottom):
-        return GameResult(SPOILER, {"initial": "root labels differ"})
     if win(bottom):
         reachable = {
             (pos, move): response
@@ -604,7 +617,8 @@ class TestAgainstRecursiveReferences:
     @settings(max_examples=40, deadline=None)
     def test_morphism_mappings(self, pair, k):
         a, b = pair
-        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (tree_unravel(a, k), tree_unravel(b, k))):
+        ta, tb = tree_unravel(a, k), tree_unravel(b, k)
+        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (ta, tb), (coreflect(ta), coreflect(tb))):
             for kind in ("homomorphism", "pathwise_embedding"):
                 found = find_morphism(x, y, kind)
                 assert (found and found.mapping) == ref_modal_mapping(x, y, kind)

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linspect.fixtures import fix1, fix2, fix3, fix4, loop
-from linspect.games import solve_back_and_forth, solve_bisim
+from linspect.games import (
+    PathHandle,
+    path_hom_compatible,
+    path_iso,
+    solve_back_and_forth,
+    solve_bisim,
+)
 from linspect import oracle
 from linspect.logic import FF, Or, UnionModel, parse_formula, render_formula, truth_vectors
 from linspect.oracle import (
@@ -344,6 +350,64 @@ class TestPebbledMorphisms:
         for node, image in witness.mapping.items():
             assert x.pebble[node] == y.pebble[image]
             assert x.depth(node) == y.depth(image)
+
+    def test_branching_forest_keeps_a_shared_parent(self):
+        """Each leaf of x has a matching chain in y, but not both under one
+        root: the mapping of x's root must serve both children."""
+        sig = Signature((("R", 2),))
+
+        def forest(parent, placements):
+            nodes = tuple(placements)
+            return ForestObject(
+                "pebbled", sig, nodes, parent, tuple(n for n in nodes if n not in parent),
+                {"R": frozenset()},
+                origin={n: el for n, (_, el) in placements.items()},
+                pebble={n: pb for n, (pb, _) in placements.items()},
+            )
+
+        x = forest({"c1": "r", "c2": "r"}, {"r": (1, "e0"), "c1": (1, "e0"), "c2": (2, "e1")})
+        y = forest(
+            {"d1": "r1", "d2": "r2"},
+            {"r1": (1, "e0"), "d1": (1, "e0"), "r2": (1, "e0"), "d2": (2, "e1")},
+        )
+        for kind in ("homomorphism", "pathwise_embedding"):
+            assert find_morphism(x, y, kind) is None
+
+
+def ref_pebbled_mapping(x, y, kind):
+    """Each chain of a linear pebbled forest maps on its own to a chain
+    prefix of y: the first node at the leaf's depth whose path matches."""
+    compatible = path_iso if kind == "pathwise_embedding" else path_hom_compatible
+    y_by_depth = {}
+    for node in y.nodes:
+        y_by_depth.setdefault(y.depth(node), []).append(node)
+    mapping = {}
+    for leaf in (n for n in x.nodes if x.is_leaf(n)):
+        chain = x.path_to_root(leaf)
+        target = next(
+            (
+                v
+                for v in y_by_depth.get(len(chain) - 1, [])
+                if compatible(PathHandle(x, leaf), PathHandle(y, v))
+            ),
+            None,
+        )
+        if target is None:
+            return None
+        mapping.update(zip(chain, y.path_to_root(target)))
+    return mapping
+
+
+class TestPebbledMappingsMatchTheChainReference:
+    @given(plain_structures(max_size=2), plain_structures(max_size=2),
+           st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_pr_unravelings(self, s, t, k, n):
+        x, y = pr_unravel(s, k, n)[0], pr_unravel(t, k, n)[0]
+        for a, b in ((x, y), (y, x), (x, x)):
+            for kind in ("homomorphism", "pathwise_embedding"):
+                found = find_morphism(a, b, kind)
+                assert (found and found.mapping) == ref_pebbled_mapping(a, b, kind)
 
 
 class TestUnravelingMorphismsMatchTraceRelations:

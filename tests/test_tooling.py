@@ -145,3 +145,27 @@ def test_no_new_self_recursion():
     found = self_recursive_functions()
     assert found - SELF_RECURSIVE == set(), "new self-recursive functions"
     assert SELF_RECURSIVE - found == set(), "no longer recursive: drop from the list"
+
+
+def unused_imports() -> set:
+    """module.name of every name that a module of ``src/linspect``, other than
+    the package's ``__init__``, imports and never reads."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add((alias.asname or alias.name).split(".")[0])
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {f"{path.stem}.{name}" for name in imported - read}
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports() == set()

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,54 @@ class TestPrUnravelProperties:
         assert tuple(reused) not in forest.interp["T"]
         # the final position alone is always fresh
         assert (reused[2], reused[2], reused[2]) in forest.interp["T"]
+
+
+def ref_pr_interp(forest, s):
+    """The relation tuples of a pebble-sequence forest, position tuple by
+    position tuple over each chain: a tuple holds iff no pebble of its
+    positions is placed again before the tuple's last position, and the
+    relation holds on the placed elements."""
+    tuples = {name: set() for name in s.signature.names}
+    for leaf in (n for n in forest.nodes if forest.is_leaf(n)):
+        ids = forest.path_to_root(leaf)
+        seq = [(forest.pebble[n], forest.origin[n]) for n in ids]
+        for name, arity in s.signature.relations:
+            for combo in product(range(1, len(seq) + 1), repeat=arity):
+                top = max(combo)
+                if any(
+                    seq[j][0] == seq[idx - 1][0] for idx in combo for j in range(idx, top)
+                ):
+                    continue
+                if tuple(seq[idx - 1][1] for idx in combo) in s.interp[name]:
+                    tuples[name].add(tuple(ids[idx - 1] for idx in combo))
+    return {name: frozenset(ts) for name, ts in tuples.items()}
+
+
+@st.composite
+def relational_structures(draw):
+    """One or two relations of arity 1 to 3, self-loops allowed, over one or
+    two elements."""
+    universe = ("x", "y")[: draw(st.integers(min_value=1, max_value=2))]
+    arities = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2))
+    sig = Signature(tuple((f"R{i}", arity) for i, arity in enumerate(arities)))
+    interp = {
+        f"R{i}": frozenset(draw(st.sets(st.sampled_from(list(product(universe, repeat=arity))))))
+        for i, arity in enumerate(arities)
+    }
+    return Structure(sig, universe, interp)
+
+
+class TestPrUnravelAgainstTheScan:
+    @given(relational_structures(), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=25, deadline=None)
+    def test_same_forest(self, s, k, n):
+        forest, _ = pr_unravel(s, k, n)
+        ref = ForestObject(
+            "pebbled", s.signature, forest.nodes, forest.parent, forest.roots,
+            ref_pr_interp(forest, s), forest.origin, pebble=forest.pebble,
+        )
+        assert forest_to_dict(forest) == forest_to_dict(ref)
 
 
 class TestCoreflectPebbled:
