@@ -6,12 +6,14 @@ All solvers are deterministic: move enumeration follows universe order, and
 verdicts come with machine-checkable witnesses (a response table for the
 surviving player, or a winning attack for the other).
 
-``_solve`` is the one solver: memoised backward induction with an explicit
-stack.  Every game and both replays give it a winning condition and Spoiler's
-moves.  ``solve_bisim`` plays the rounds below the root at depth at most
-|A| + |B|: partition refinement on the disjoint union is stable from round
-|A| + |B| - 1 on (Kanellakis and Smolka 1990), so the cap changes neither the
-verdict nor the root's Spoiler move.
+``_solve`` is memoised backward induction with an explicit stack.  The
+back-and-forth, bisimulation and pebble games and both replays give it a
+winning condition and Spoiler's moves.  The element game is not played:
+``solve_ef`` compares rank-r types, each side's fresh extensions typed once
+under an exact budget.  ``solve_bisim`` plays the rounds below the root at
+depth at most |A| + |B|: partition refinement on the disjoint union is stable
+from round |A| + |B| - 1 on (Kanellakis and Smolka 1990), so the cap changes
+neither the verdict nor the root's Spoiler move.
 
 Every back-and-forth game starts at the empty paths, whose one-step
 extensions are the roots: a root comparison is Spoiler's first move, and
@@ -19,8 +21,8 @@ forests may have several roots.  ``oracle.find_morphism`` reads homomorphisms
 and pathwise embeddings off the existential-positive and existential games.
 
 Solvers and replays share one implementation of each job.  ``_partial_iso``
-is the partial-isomorphism check behind ``_pairs_partial_iso`` (pebble and
-element games), ``_pebbled_compatible`` (pebbled paths) and the solver's
+is the partial-isomorphism check behind ``_pairs_partial_iso`` (the pebble
+game), ``_pebbled_compatible`` (pebbled paths) and the solver's
 pebbled step; ``_path_condition`` is the path condition behind ``path_iso``
 and ``path_hom_compatible``.  The back-and-forth solver and its replays share
 ``_covers``, ``_moves``, ``_answers``, ``_after``, ``_bf_moves`` and the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Literal, Optional
 
 from .structures import PointedStructure, SignatureMismatch, Structure
@@ -526,6 +529,65 @@ def replay_ppeb_duplicator(
 # --- rounds-bounded first-order game --------------------------------------------
 
 
+# the most tuples ``solve_ef`` may type over both structures.  About 200,000
+# take 0.5 s with one proposition and one action at r 2 (316 elements a side),
+# 0.9 s with two actions at r 3 (47 elements) and 2.0 s with a ternary
+# relation at r 3, whose tuples check 37 facts each (2-vCPU VM, Python 3.11);
+# verify's lemma83 at size 6 and rank 2 types at most about 5,600
+EF_TUPLE_BUDGET = 200_000
+
+
+def _rank_type(s: Structure, start: tuple, fresh: list, depth: int, rounds: int, table: dict):
+    """The rank-``rounds`` type id of the distinct-element tuple ``start``,
+    interned in ``table``.
+
+    The tuples are built top-down to ``depth``, one list per level, each
+    tuple's extensions contiguous, and typed bottom-up.  A tuple's atomic type
+    is its parent's atomic id with the facts that use its last position.
+    """
+    relations = [
+        ({e for (e,) in s.interp[name]} if arity == 1 else s.interp[name], arity)
+        for name, arity in s.signature.relations
+    ]
+
+    def extend(parents: list, tuples: list, width: int) -> list:
+        """The atomic ids of ``tuples``, ``width`` consecutive ones per parent
+        id, from the facts that use their last position: the facts and the
+        getter of each relation's position tuples that contain it."""
+        n = len(tuples[0])
+        new = [
+            (facts, itemgetter(*combo))
+            for facts, arity in relations
+            for combo in product(range(n), repeat=arity)
+            if n - 1 in combo
+        ]
+        return [
+            table.setdefault((parents[j // width], tuple([g(t) in f for f, g in new])), len(table))
+            for j, t in enumerate(tuples)
+        ]
+
+    tuples, atoms = [start], [None]
+    for n in range(1, len(start) + 1):
+        atoms = extend(atoms, [start[:n]], 1)
+    levels = [atoms]
+    for i in range(depth):
+        tuples = [t + (x,) for t in tuples for x in fresh if x not in t]
+        atoms = extend(atoms, tuples, len(fresh) - i)
+        levels.append(atoms)
+    if depth == rounds:
+        types = levels[depth]
+    else:  # no fresh element is left for the remaining rounds; a bare atomic
+        # id could equal a type id of the other side's tuples at this level
+        types = [table.setdefault((at, frozenset()), len(table)) for at in levels[depth]]
+    for i in range(depth - 1, -1, -1):
+        width = len(fresh) - i
+        types = [
+            table.setdefault((at, frozenset(types[j * width : (j + 1) * width])), len(table))
+            for j, at in enumerate(levels[i])
+        ]
+    return types[0]
+
+
 def solve_ef(
     a: Structure,
     b: Structure,
@@ -533,30 +595,48 @@ def solve_ef(
     tuple_a: tuple[str, ...] = (),
     tuple_b: tuple[str, ...] = (),
 ) -> GameResult:
-    """The classic r-round element game: Duplicator wins at 0 rounds iff the
-    current pairing is a partial isomorphism, and at r+1 iff every element
-    choice on either side has a response winning r rounds."""
+    """The classic r-round element game, decided by rank-r types.
+
+    A tuple's rank-0 type is its atomic type, and its rank-j type is its
+    atomic type with the set of rank-(j-1) types of its one-element
+    extensions (Ebbinghaus and Flum, *Finite Model Theory*; Libkin,
+    *Elements of Finite Model Theory*, ch. 3); both structures intern them in
+    one table.  Duplicator wins r rounds iff the start tuples have the same
+    equality pattern and their distinct-element prefixes get the same
+    rank-r type.  Only elements a tuple does not contain extend it:
+    Duplicator answers a repeated element with its partner, and a rank-j
+    type determines the rank-(j-1) one.  So for n elements and d distinct
+    start elements the depth is at most min(r, n - d), and depth i holds
+    (n - d)(n - d - 1)... (i factors) tuples.  That count, over both sides,
+    is known before any work; above ``EF_TUPLE_BUDGET`` the game is refused.
+    """
     if a.signature != b.signature:
         raise SignatureMismatch("the element game requires matching signatures")
     if len(tuple_a) != len(tuple_b):
         raise ValueError("distinguished tuples must have equal length")
     if r < 0:
         raise ValueError("r must be >= 0")
-
-    def ok(pos: tuple) -> bool:
-        return _pairs_partial_iso(pos[0], a, b, True)
-
-    def moves(pos: tuple):
-        pairs, rounds = pos
-        if rounds > 0:
-            for x in a.universe:
-                yield ("A", x), ((y, (pairs | {(x, y)}, rounds - 1)) for y in b.universe)
-            for y in b.universe:
-                yield ("B", y), ((x, (pairs | {(x, y)}, rounds - 1)) for x in a.universe)
-
-    start = (frozenset(zip(tuple_a, tuple_b)), r)
-    winner = DUPLICATOR if _solve(start, ok, moves)[0][start] else SPOILER
-    return GameResult(winner)
+    if list(map(tuple_a.index, tuple_a)) != list(map(tuple_b.index, tuple_b)):
+        return GameResult(SPOILER)  # the equality patterns differ
+    sides, count = [], 0
+    for s, t in ((a, tuple_a), (b, tuple_b)):
+        start = tuple(dict.fromkeys(t))
+        fresh = [e for e in s.universe if e not in start]
+        depth, level = min(r, len(fresh)), 1
+        count += 1
+        for i in range(depth):
+            level *= len(fresh) - i
+            count += level
+            if count > EF_TUPLE_BUDGET:
+                raise ValueError(
+                    f"solve_ef runs only within its budget of {EF_TUPLE_BUDGET} typed "
+                    f"tuples; r={r} over {len(a.universe)} x {len(b.universe)} elements "
+                    "types more"
+                )
+        sides.append((s, start, fresh, depth))
+    table: dict = {}
+    ids = [_rank_type(*side, r, table) for side in sides]
+    return GameResult(DUPLICATOR if ids[0] == ids[1] else SPOILER)
 
 
 def witness_records(result: GameResult) -> list[tuple]:

@@ -131,14 +131,17 @@ def check_condition_p(f: ForestObject) -> list[str]:
 # --- linear modal unraveling -------------------------------------------------
 
 
-# the most nodes ``ml_unravel`` and ``tree_unravel`` (so also ``ml_graft``) may
-# build: with two self-loops on one state, TREE at k 16 has 131,071 nodes and
-# ML at k 13 has 106,497, which took 2.8 s and 1.5 s to build and about 200 MB
-# each (2-vCPU VM, Python 3.11)
+# the most nodes ``ml_unravel`` and ``tree_unravel`` may build, and the most
+# elements ``ml_graft`` may build with its grafted copies: with two self-loops
+# on one state, TREE at k 16 has 131,071 nodes and ML at k 13 has 106,497,
+# which took 2.8 s and 1.5 s to build and about 200 MB each (2-vCPU VM,
+# Python 3.11)
 UNRAVEL_NODE_BUDGET = 100_000
 
 
-def _node_count(p: PointedStructure, k: int, linear: bool, budget: float = math.inf) -> int:
+def _node_count(
+    p: PointedStructure, k: int, linear: bool, budget: float = math.inf, graft: bool = False
+) -> int:
     """The node count of the depth-k linear (``linear``) or tree unraveling,
     refused as soon as it is known to pass ``budget``.
 
@@ -146,7 +149,9 @@ def _node_count(p: PointedStructure, k: int, linear: bool, budget: float = math.
     number of runs ending there.  The tree has a node per run, the linear
     unraveling 1 + the total length of the maximal runs.  The runs of length
     i extend to disjoint sets of maximal runs, none shorter, so the count is
-    at least the shorter maximal runs' part plus i per run of length i.
+    at least the shorter maximal runs' part plus i per run of length i.  With
+    ``graft``, each run of length k also counts the elements that ``ml_graft``
+    grafts onto its leaf: the part reachable from its end, less the end.
     """
     level, count = {p.point: 1}, int(linear)
     for i in range(max(k, 0) + 1):
@@ -167,6 +172,13 @@ def _node_count(p: PointedStructure, k: int, linear: bool, budget: float = math.
                 f"{'ml' if linear else 'tree'}_unravel runs only within its budget of "
                 f"{budget} nodes; k={k} from {p.point!r} builds more"
             )
+        if graft and i == k:
+            bound += sum(n * (len(_reachable(p.base, s)) - 1) for s, n in level.items())
+            if bound > budget:
+                raise ValueError(
+                    f"ml_graft runs only within its budget of {budget} elements; k={k} "
+                    f"from {p.point!r} builds more"
+                )
         if not following:  # every run is maximal: the bound is exact
             break
         level = following
@@ -349,8 +361,8 @@ def as_pointed(x: ForestObject) -> PointedStructure:
     )
 
 
-def reachable_part(s: Structure, start: str) -> Structure:
-    """Induced substructure on elements reachable from ``start`` via actions."""
+def _reachable(s: Structure, start: str) -> set[str]:
+    """The elements reachable from ``start`` via actions."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -362,7 +374,12 @@ def reachable_part(s: Structure, start: str) -> Structure:
                         seen.add(t)
                         nxt.append(t)
         frontier = nxt
-    return induced(s, seen)
+    return seen
+
+
+def reachable_part(s: Structure, start: str) -> Structure:
+    """Induced substructure on elements reachable from ``start`` via actions."""
+    return induced(s, _reachable(s, start))
 
 
 def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
@@ -371,8 +388,10 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
     The grafted copy at leaf (s,k) is the part of the source reachable from the
     leaf's origin; the copy's anchor element is identified with the leaf, so no
     explicit quotient classes are needed.  Grafted nodes are named
-    ``leaf-id/element-id``.
+    ``leaf-id/element-id``.  Above ``UNRAVEL_NODE_BUDGET`` elements, counted
+    with the copies, the structure is refused before it is built.
     """
+    _node_count(p, k, True, UNRAVEL_NODE_BUDGET, graft=True)
     forest, counit = ml_unravel(p, k)
     base = as_pointed(forest)
     universe = list(base.base.universe)

@@ -18,7 +18,7 @@ from linspect.structures import (
     structure_from_dict,
 )
 from linspect.traces import check_trace_relation
-from linspect.unravel import forest_to_dict, ml_unravel
+from linspect.unravel import forest_to_dict, ml_node_count, ml_unravel
 
 from conftest import line
 
@@ -179,6 +179,38 @@ class TestUnravelNodeBudget:
             f"error: {unraveling} runs only within its budget of 100000 nodes; "
             "k=20 from 'x' builds more\n"
         )
+
+
+class TestGraftBudget:
+    """A state with an a- and a b-loop and an a-edge into a 100-state a-chain:
+    every run of length k ending on the chain grafts the rest of the chain, so
+    GRAFT counts its copies along with the ML nodes."""
+
+    @pytest.fixture
+    def lasso(self, tmp_path):
+        sig = Signature((("a", 2), ("b", 2)), modal=True)
+        chain = [f"c{i}" for i in range(100)]
+        edges = {("s", "s"), ("s", "c0"), *zip(chain, chain[1:])}
+        path = tmp_path / "lasso.json"
+        path.write_text(dump_structure(
+            Structure(sig, ("s", *chain), {"a": edges, "b": {("s", "s")}}), "s"
+        ))
+        return str(path)
+
+    def test_answers_at_8_refuses_at_12(self, capsys, lasso):
+        code, out, _ = run_cli(capsys, "unravel", "--comonad", "GRAFT", "-k", "8", lasso)
+        assert code == 0
+        assert len(json.loads(out)["universe"]) == 54_687  # 4,089 of them ML nodes
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "unravel", "--comonad", "GRAFT", "-k", "12", lasso)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ml_graft runs only within its budget of 100000 elements; "
+            "k=12 from 's' builds more\n"
+        )
+        # the ML unraveling alone is within the budget
+        assert ml_node_count(load_pointed(lasso), 12) == 98_293
 
 
 class TestDistinguishGolden:
@@ -411,7 +443,6 @@ class TestFiveThousandStates:
           for comonad in ("ML", "TREE", "GRAFT")),
         ("unravel", "--comonad", "PR", "-k", "1", "--len", "2", "{chain}"),
         ("game", "--type", "bisim", "{chain}", "{cycle}"),
-        # -r 1: at the default -r 2 the element game has no budget yet
         ("game", "--type", "ef", "-r", "1", "{chain}", "{cycle}"),
         ("game", "--type", "ppeb", "-k", "1", "--len", "2", "{chain}", "{cycle}"),
         ("game", "--type", "bf", "{chain_ml}", "{cycle_ml}"),
@@ -448,3 +479,17 @@ class TestFiveThousandStates:
         assert main(["game", "--type", "ppeb", "-k", "1", "--len", "2",
                      files["chain"], files["cycle"]]) == 2
         assert "budget of 5000000 position visits" in capsys.readouterr().err
+
+    def test_ef_answers_at_rank_one_and_refuses_at_rank_two(self, capsys, files):
+        # 2 x 5,001 typed tuples at rank 1; 2 x (1 + 5,000 + 5,000 x 4,999) at rank 2
+        argv = ["game", "--type", "ef", files["chain"], files["cycle"]]
+        # the cycle's s4999 has an edge into the point, no chain state has one
+        assert run_cli(capsys, *argv, "-r", "1") == (1, "SPOILER\n", "")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "-r", "2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: solve_ef runs only within its budget of 200000 typed tuples; "
+            "r=2 over 5000 x 5000 elements types more\n"
+        )

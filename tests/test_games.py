@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from linspect.cli import main
 from linspect.games import (
     CategoryMismatch,
     DUPLICATOR,
+    EF_TUPLE_BUDGET,
     SPOILER,
     GameResult,
     PathHandle,
@@ -18,6 +22,7 @@ from linspect.games import (
     _pebbled_compatible,
     _place,
     _placements,
+    _solve,
     _strategy_walk,
     path_hom_compatible,
     path_iso,
@@ -28,8 +33,14 @@ from linspect.games import (
     solve_ef,
     solve_ppeb,
 )
-from linspect.oracle import _modal_step_cond, find_morphism
-from linspect.structures import Signature, Structure, load_pointed
+from linspect.oracle import (
+    _modal_step_cond,
+    find_morphism,
+    gen_pointed,
+    suite_signature,
+    workspace,
+)
+from linspect.structures import Signature, Structure, ball, load_pointed, pointed_sum
 from linspect.unravel import coreflect, ml_unravel, pr_unravel, tree_unravel
 
 from conftest import line, pointed_pairs, plain_structures
@@ -279,6 +290,51 @@ class TestEf:
     def test_monotone_in_rounds(self, a, b, r):
         if solve_ef(a, b, r).duplicator_wins:
             assert solve_ef(a, b, r - 1).duplicator_wins
+
+    def test_equality_patterns_must_match(self):
+        # both distinct-element prefixes are (n0, n1): only the patterns differ
+        args = (chain3(), chain3(), 0, ("n0", "n0", "n1"), ("n0", "n1", "n1"))
+        assert solve_ef(*args) == ref_ef_game(*args) == GameResult(SPOILER)
+        assert solve_ef(chain3(), chain3(), 2, ("n0", "n0"), ("n0", "n0")).duplicator_wins
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_ten_thousand_rounds_on_tiny_structures(self, size):
+        """Only fresh elements extend a tuple, so the depth stops at |U|."""
+        sig = Signature((("P", 1), ("R", 2)))
+        rng = random.Random(size)
+        for _ in range(10):
+            a, b = (Structure(sig, tuple(f"e{i}" for i in range(n)), {
+                "P": {(f"e{i}",) for i in range(n) if rng.random() < 0.5},
+                "R": {(f"e{i}", f"e{j}") for i in range(n) for j in range(n) if rng.random() < 0.5},
+            }) for n in (size, rng.randint(1, size)))
+            start = time.perf_counter()
+            deep = solve_ef(a, b, 10_000)
+            assert time.perf_counter() - start < 1.0
+            assert deep == solve_ef(a, b, size) == ref_ef_game(a, b, size)
+
+    def test_budget_refuses_before_any_work(self):
+        # 1 + 5,000 + 5,000 * 4,999 tuples per side at rank 2
+        sig = Signature((("R", 2),))
+        big = Structure(sig, tuple(f"v{i}" for i in range(5000)), {})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"budget of {EF_TUPLE_BUDGET} typed tuples"):
+            solve_ef(big, big, 2)
+        assert time.perf_counter() - start < 0.1
+        assert solve_ef(big, big, 1).duplicator_wins  # 2 x 5,001 tuples
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_lemma83_instances_against_the_game(self, size):
+        """The workspace sums of verify's lemma83 suite at rank 2."""
+        sig = suite_signature(n_props=1, n_actions=1)
+        for seed in range(3):
+            a = gen_pointed(sig, size, random.Random(seed))
+            b = workspace(a, 2, 4)
+            lhs, rhs = pointed_sum(a, b), pointed_sum(ball(a, 4), b)
+            args = (lhs.base, rhs.base, 2, (lhs.point,), (rhs.point,))
+            assert solve_ef(*args) == ref_ef_game(*args) == GameResult(DUPLICATOR)
+            # a point moved onto a workspace copy keeps the verdicts equal
+            moved = (lhs.base, rhs.base, 2, (lhs.point,), (rhs.base.universe[-1],))
+            assert solve_ef(*moved) == ref_ef_game(*moved)
 
 
 class TestWitnessSerialization:
@@ -534,6 +590,39 @@ def ref_ef(a, b, r, tuple_a=(), tuple_b=()):
     return GameResult(DUPLICATOR if win(frozenset(zip(tuple_a, tuple_b)), r) else SPOILER)
 
 
+def ref_ef_game(a, b, r, tuple_a=(), tuple_b=()):
+    """The element game played on pair sets by ``games._solve``."""
+
+    def ok(pos):
+        return _pairs_partial_iso(pos[0], a, b, True)
+
+    def moves(pos):
+        pairs, rounds = pos
+        if rounds > 0:
+            for x in a.universe:
+                yield ("A", x), ((y, (pairs | {(x, y)}, rounds - 1)) for y in b.universe)
+            for y in b.universe:
+                yield ("B", y), ((x, (pairs | {(x, y)}, rounds - 1)) for x in a.universe)
+
+    start = (frozenset(zip(tuple_a, tuple_b)), r)
+    return GameResult(DUPLICATOR if _solve(start, ok, moves)[0][start] else SPOILER)
+
+
+@st.composite
+def ternary_structures(draw, max_size: int = 3):
+    """Structures with a unary, a binary and a ternary relation whose tuples
+    may repeat an element."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    universe = tuple(f"e{i}" for i in range(n))
+    elements = st.sampled_from(universe)
+    sig = Signature((("P", 1), ("R", 2), ("T", 3)))
+    return Structure(sig, universe, {
+        "P": draw(st.sets(st.tuples(elements))),
+        "R": draw(st.sets(st.tuples(elements, elements))),
+        "T": draw(st.sets(st.tuples(elements, elements, elements), max_size=6)),
+    })
+
+
 def ref_modal_mapping(x, y, kind):
     cond = _modal_step_cond(x, y, kind)
     memo = {}
@@ -612,6 +701,19 @@ class TestAgainstRecursiveReferences:
     def test_ef_verdicts(self, a, b, r, pinned):
         ta, tb = a.universe[:pinned], b.universe[:pinned]
         assert solve_ef(a, b, r, ta, tb) == ref_ef(a, b, r, ta, tb)
+
+    @given(ternary_structures(), ternary_structures(), st.integers(min_value=0, max_value=3),
+           st.lists(st.integers(min_value=0, max_value=2), max_size=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ef_verdicts_with_a_ternary_relation(self, a, b, r, positions, data):
+        # pinned tuples may repeat an element; b's follows a's pattern or not
+        ta = tuple(a.universe[i % len(a.universe)] for i in positions)
+        if data.draw(st.booleans()):
+            tb = tuple(b.universe[i % len(b.universe)] for i in positions)
+        else:
+            tb = tuple(data.draw(st.sampled_from(b.universe)) for _ in positions)
+        want = ref_ef(a, b, r, ta, tb)
+        assert solve_ef(a, b, r, ta, tb) == want == ref_ef_game(a, b, r, ta, tb)
 
     @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)

@@ -169,3 +169,28 @@ def unused_imports() -> set:
 
 def test_no_unused_imports():
     assert unused_imports() == set()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def budgets() -> dict:
+    """module.name -> value of every module-level ``*_BUDGET`` constant in
+    ``src/linspect``."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                name = getattr(node.targets[0], "id", "")
+                if name.endswith("_BUDGET"):
+                    found[f"{path.stem}.{name}"] = ast.literal_eval(node.value)
+    return found
+
+
+def test_budgets_in_readme():
+    """Each refusal budget is stated in the README, with thousands separators."""
+    found = budgets()
+    assert "games.EF_TUPLE_BUDGET" in found and "unravel.UNRAVEL_NODE_BUDGET" in found
+    text = README.read_text()
+    missing = {name: value for name, value in found.items() if f"{value:,}" not in text}
+    assert missing == {}

@@ -9,6 +9,7 @@ from linspect.structures import PointedStructure, Signature, Structure, ball, va
 from linspect.traces import check_trace_relation, maximal_runs
 from linspect.unravel import (
     ForestObject,
+    _node_count,
     as_pointed,
     branch_label_multiset,
     check_condition_p,
@@ -171,6 +172,11 @@ class TestMlGraft:
         assert len(g.base.universe) <= ml_node_count(p, k) + len(runs_k) * len(
             p.base.universe
         )
+
+    @given(pointed_structures(max_size=4), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=40, deadline=None)
+    def test_counted_before_it_is_built(self, p, k):
+        assert len(ml_graft(p, k).base.universe) == _node_count(p, k, True, graft=True)
 
     @given(pointed_structures(max_size=3), st.integers(min_value=1, max_value=3))
     @settings(max_examples=25, deadline=None)
