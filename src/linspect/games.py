@@ -18,7 +18,10 @@ neither the verdict nor the root's Spoiler move.
 Every back-and-forth game starts at the empty paths, whose one-step
 extensions are the roots: a root comparison is Spoiler's first move, and
 forests may have several roots.  ``oracle.find_morphism`` reads homomorphisms
-and pathwise embeddings off the existential-positive and existential games.
+and pathwise embeddings off the existential-positive and existential games,
+and spans of open pathwise embeddings off the full game: the positions that
+Duplicator's table reaches, each under the one it was reached from, form the
+mediator.
 
 Solvers and replays share one implementation of each job.  ``_partial_iso``
 is the partial-isomorphism check behind ``_pairs_partial_iso`` (the pebble

@@ -2,7 +2,9 @@
 isomorphism search over forest objects) and the executable verification suites.
 
 Homomorphisms and pathwise embeddings of forests are read off the
-existential(-positive) back-and-forth game.  One bottom-up labelling,
+existential(-positive) back-and-forth game, and spans of open pathwise
+embeddings off the full game: the positions Duplicator's strategy reaches
+are the mediator.  One bottom-up labelling,
 ``_canon_ids``, decides isomorphism of forests and of tree-shaped pointed
 structures at any depth.
 
@@ -39,6 +41,8 @@ from .unravel import (
     tree_unravel,
 )
 from .games import (
+    _START,
+    _after,
     solve_back_and_forth,
     solve_bisim,
     solve_ef,
@@ -71,17 +75,6 @@ class MorphismWitness:
     mapping: dict  # node -> node (for spans: mediator-node -> node, per side)
     mapping2: Optional[dict] = None
     mediator: Optional[ForestObject] = None
-
-
-def _modal_step_cond(x: ForestObject, y: ForestObject, kind: str) -> Callable:
-    def cond(u: str, v: str) -> bool:
-        if x.action_in.get(u) != y.action_in.get(v):
-            return False
-        if kind == "homomorphism":
-            return x.valuation[u] <= y.valuation[v]
-        return x.valuation[u] == y.valuation[v]
-
-    return cond
 
 
 def _canon_ids(roots, children, label) -> tuple[dict[str, int], tuple]:
@@ -131,85 +124,13 @@ def forest_canon(f: ForestObject) -> tuple:
     return _forest_ids(f)[1]
 
 
-def _pair_forest(x: ForestObject, y: ForestObject) -> dict[tuple, list[tuple]]:
-    """Synchronized pair-forest of two modal forests on label-equal pairs, as
-    the children of each pair node."""
-    root = (x.roots[0], y.roots[0])
-    if x.valuation[root[0]] != y.valuation[root[1]]:
-        return {}
-    label_equal = _modal_step_cond(x, y, "pathwise_embedding")
-    children: dict[tuple, list[tuple]] = {}
-    stack = [root]
-    seen = {root}
-    while stack:
-        u, v = stack.pop()
-        kids = [
-            (u2, v2) for u2 in x.children(u) for v2 in y.children(v) if label_equal(u2, v2)
-        ]
-        children[(u, v)] = kids
-        for kid in kids:
-            if kid not in seen:
-                seen.add(kid)
-                stack.append(kid)
-    return children
-
-
-def _open_span_search(x: ForestObject, y: ForestObject) -> Optional[MorphismWitness]:
-    """Greatest sub-forest of the synchronized pair-forest whose projections
-    satisfy the path-lifting condition on every node, both sides."""
-    children = _pair_forest(x, y)
-    root = (x.roots[0], y.roots[0])
-    if root not in children:
-        return None
-    kept = set(children)
-
-    def survives(z: tuple) -> bool:
-        u, v = z
-        kept_kids = [w for w in children[z] if w in kept]
-        lifted_u = {w[0] for w in kept_kids}
-        lifted_v = {w[1] for w in kept_kids}
-        return lifted_u.issuperset(x.children(u)) and lifted_v.issuperset(y.children(v))
-
-    # worklist fixpoint: a removal can only invalidate the pair's parent
-    pending = sorted(kept)
-    while pending:
-        batch, pending = pending, []
-        for z in batch:
-            if z in kept and not survives(z):
-                kept.discard(z)
-                u, v = z
-                if z != root:
-                    pending.append((x.parent[u], y.parent[v]))
-    if root not in kept:
-        return None
-    # drop nodes whose ancestors were pruned
-    reachable = set()
-    stack = [root]
-    while stack:
-        z = stack.pop()
-        reachable.add(z)
-        stack.extend(w for w in children[z] if w in kept and w not in reachable)
-
-    def pair_id(z: tuple) -> str:
-        return f"<{z[0]};{z[1]}>"
-
-    def steps():
-        for z in sorted(reachable, key=lambda z: (x.depth(z[0]), z)):
-            u, v = z
-            par = None if z == root else pair_id((x.parent[u], y.parent[v]))
-            yield pair_id(z), par, u, x.valuation[u], x.action_in.get(u)
-
-    mediator = _modal_forest(x.signature, steps(), None)
-    map1 = {pair_id(z): z[0] for z in reachable}
-    map2 = {pair_id(z): z[1] for z in reachable}
-    return MorphismWitness("open_span", map1, map2, mediator)
-
-
 def check_open_embedding(
     z: ForestObject, target: ForestObject, mapping: dict
 ) -> bool:
-    """Is the mapping an open pathwise embedding (labels exact, child covers
-    lifted)?"""
+    """Is the mapping an open pathwise embedding (labels exact, roots onto
+    roots, child covers lifted)?"""
+    if {mapping[r] for r in z.roots} != set(target.roots):
+        return False
     for node in z.nodes:
         img = mapping[node]
         if z.valuation.get(node) != target.valuation.get(img):
@@ -230,7 +151,10 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
 
     A homomorphism (pathwise embedding) is Duplicator's strategy in the
     existential-positive (existential) back-and-forth game from x to y:
-    Duplicator's answers to Spoiler's moves map x's nodes.
+    Duplicator's answers to Spoiler's moves map x's nodes.  A span of open
+    pathwise embeddings of modal forests is Duplicator's strategy in the full
+    game: the positions it reaches are the mediator's nodes, under the
+    positions they were reached from, and the two projections are its legs.
     """
     if x.kind != y.kind:
         raise ValueError("find_morphism needs same-category forests")
@@ -258,7 +182,23 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
     if kind == "open_span":
         if x.kind != "modal":
             raise ValueError("open_span search is implemented for modal forests")
-        return _open_span_search(x, y)
+        result = solve_back_and_forth(x, y, "full")
+        if not result.duplicator_wins:
+            return None
+        parent = {_after(move, w): pos for (pos, move), (_, w) in result.witness.items()}
+
+        def pair_id(z: tuple) -> str:
+            return f"<{z[0]};{z[1]}>"
+
+        def steps():
+            for z in sorted(parent, key=lambda z: (x.depth(z[0]), z)):
+                par = None if parent[z] == _START else pair_id(parent[z])
+                yield pair_id(z), par, z[0], x.valuation[z[0]], x.action_in.get(z[0])
+
+        mediator = _modal_forest(x.signature, steps())
+        map1 = {pair_id(z): z[0] for z in parent}
+        map2 = {pair_id(z): z[1] for z in parent}
+        return MorphismWitness(kind, map1, map2, mediator)
     raise ValueError(f"unknown morphism kind {kind!r}")
 
 

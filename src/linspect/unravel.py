@@ -15,8 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
-
 
 from .structures import PointedStructure, Signature, Structure, induced
 from .traces import NonModalSignature, Run, maximal_runs, runs_upto
@@ -42,8 +40,6 @@ class ForestObject:
     valuation: dict[str, frozenset[str]] = field(default_factory=dict)
     action_in: dict[str, str] = field(default_factory=dict)
     pebble: dict[str, int] = field(default_factory=dict)
-    # source of the counit map; pebbled path comparisons consult its relations
-    origin_structure: Optional[Structure] = None
 
     def __post_init__(self) -> None:
         self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -197,16 +193,15 @@ def _run_string(run: Run) -> str:
     return f"{run.states[0]}{steps}"
 
 
-def _modal_forest(
-    signature: Signature, steps, origin_structure: Optional[Structure]
-) -> ForestObject:
-    """The single-rooted modal forest listed by ``steps``.
+def _modal_forest(signature: Signature, steps) -> ForestObject:
+    """The modal forest listed by ``steps``.
 
-    Each step is ``(node, parent, origin, valuation, action)``; the root comes
-    first, with parent and action None.  Node order follows the steps, and
-    each action relates exactly the covering pairs that it labels.
+    Each step is ``(node, parent, origin, valuation, action)``; a root has
+    parent and action None.  Node and root order follow the steps, and each
+    action relates exactly the covering pairs that it labels.
     """
     nodes: list[str] = []
+    roots: list[str] = []
     parent: dict[str, str] = {}
     origin: dict[str, str] = {}
     valuation: dict[str, frozenset[str]] = {}
@@ -216,7 +211,9 @@ def _modal_forest(
         nodes.append(node)
         origin[node] = orig
         valuation[node] = val
-        if par is not None:
+        if par is None:
+            roots.append(node)
+        else:
             parent[node] = par
             action_in[node] = act
             binary[act].add((par, node))
@@ -231,12 +228,11 @@ def _modal_forest(
         signature=signature,
         nodes=tuple(nodes),
         parent=parent,
-        roots=(nodes[0],),
+        roots=tuple(roots),
         interp=interp,
         origin=origin,
         valuation=valuation,
         action_in=action_in,
-        origin_structure=origin_structure,
     )
 
 
@@ -263,7 +259,7 @@ def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str
                 yield node, prev, state, valuation(state), run.actions[i - 1]
                 prev = node
 
-    forest = _modal_forest(p.signature, steps(), p.base)
+    forest = _modal_forest(p.signature, steps())
     return forest, dict(forest.origin)
 
 
@@ -284,7 +280,7 @@ def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
             node = ids[run.states, run.actions] = f"{par}>{run.actions[-1]}:{run.last}"
             yield node, par, run.last, valuation(run.last), run.actions[-1]
 
-    return _modal_forest(p.signature, steps(), p.base)
+    return _modal_forest(p.signature, steps())
 
 
 def coreflect(x: ForestObject) -> ForestObject:
@@ -332,7 +328,6 @@ def coreflect(x: ForestObject) -> ForestObject:
         valuation=valuation,
         action_in=action_in,
         pebble=pebble,
-        origin_structure=x.origin_structure,
     )
 
 
@@ -401,9 +396,12 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
     depth_k_leaves = [
         n for n in forest.nodes if forest.is_leaf(n) and forest.depth(n) == k
     ]
+    parts: dict[str, Structure] = {}  # anchor -> the part reachable from it
     for leaf in depth_k_leaves:
         anchor = counit[leaf]
-        part = reachable_part(p.base, anchor)
+        if anchor not in parts:
+            parts[anchor] = reachable_part(p.base, anchor)
+        part = parts[anchor]
         rename = {e: (leaf if e == anchor else f"{leaf}/{e}") for e in part.universe}
         for e in part.universe:
             if e != anchor:
@@ -500,7 +498,6 @@ def pr_unravel(
         interp={name: frozenset(ts) for name, ts in tuples.items()},
         origin=origin,
         pebble=pebble,
-        origin_structure=s,
     )
     return forest, dict(origin)
 
@@ -573,5 +570,4 @@ def forest_from_dict(data: dict) -> ForestObject:
         valuation=valuation,
         action_in=action_in,
         pebble=pebble,
-        origin_structure=s,
     )

@@ -34,7 +34,6 @@ from linspect.games import (
     solve_ppeb,
 )
 from linspect.oracle import (
-    _modal_step_cond,
     find_morphism,
     gen_pointed,
     suite_signature,
@@ -621,6 +620,17 @@ def ternary_structures(draw, max_size: int = 3):
         "R": draw(st.sets(st.tuples(elements, elements))),
         "T": draw(st.sets(st.tuples(elements, elements, elements), max_size=6)),
     })
+
+
+def _modal_step_cond(x, y, kind):
+    def cond(u, v):
+        if x.action_in.get(u) != y.action_in.get(v):
+            return False
+        if kind == "homomorphism":
+            return x.valuation[u] <= y.valuation[v]
+        return x.valuation[u] == y.valuation[v]
+
+    return cond
 
 
 def ref_modal_mapping(x, y, kind):

@@ -39,6 +39,7 @@ from linspect.unravel import (
     ForestObject,
     _modal_forest,
     as_pointed,
+    coreflect,
     ml_unravel,
     pr_unravel,
     tree_unravel,
@@ -100,6 +101,27 @@ class TestFindMorphism:
         x, _ = ml_unravel(fix3(), 2)
         y, _ = ml_unravel(fix4(), 2)
         assert find_morphism(x, y, "open_span") is None
+
+    def test_open_span_compares_every_root(self):
+        # roots r1 {p} and r2 {} against the one root s1 {p}: Spoiler picks r2
+        sig = suite_signature(n_props=1, n_actions=1)
+        p, none = frozenset({"p"}), frozenset()
+        x = _modal_forest(sig, [("r1", None, "r1", p, None), ("r2", None, "r2", none, None)])
+        y = _modal_forest(sig, [("s1", None, "s1", p, None)])
+        assert find_morphism(x, y, "open_span") is None
+        assert find_morphism(y, x, "open_span") is None
+        # the one-node span <r1;s1> misses the root r2
+        z = _modal_forest(sig, [("<r1;s1>", None, "r1", p, None)])
+        assert not check_open_embedding(z, x, {"<r1;s1>": "r1"})
+        assert check_open_embedding(z, y, {"<r1;s1>": "s1"})
+
+    def test_open_span_of_a_coreflected_tree(self):
+        x = coreflect(tree_unravel(fix2(), 2))
+        assert len(x.roots) > 1
+        witness = find_morphism(x, x, "open_span")
+        assert witness is not None
+        assert check_open_embedding(witness.mediator, x, witness.mapping)
+        assert check_open_embedding(witness.mediator, x, witness.mapping2)
 
     @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -442,6 +464,98 @@ class TestUnravelingMorphismsMatchTraceRelations:
         )
 
 
+def ref_open_span(x, y):
+    """Greatest sub-forest of the synchronized pair-forest whose projections
+    satisfy the path-lifting condition on every node, both sides; only the
+    first root of each forest is compared."""
+
+    def label_equal(u, v):
+        return x.action_in.get(u) == y.action_in.get(v) and x.valuation[u] == y.valuation[v]
+
+    # the synchronized pair-forest on label-equal pairs, as each pair's children
+    root = (x.roots[0], y.roots[0])
+    children = {}
+    if x.valuation[root[0]] == y.valuation[root[1]]:
+        stack = [root]
+        seen = {root}
+        while stack:
+            u, v = stack.pop()
+            kids = [
+                (u2, v2) for u2 in x.children(u) for v2 in y.children(v) if label_equal(u2, v2)
+            ]
+            children[(u, v)] = kids
+            for kid in kids:
+                if kid not in seen:
+                    seen.add(kid)
+                    stack.append(kid)
+    if root not in children:
+        return None
+    kept = set(children)
+
+    def survives(z):
+        u, v = z
+        kept_kids = [w for w in children[z] if w in kept]
+        lifted_u = {w[0] for w in kept_kids}
+        lifted_v = {w[1] for w in kept_kids}
+        return lifted_u.issuperset(x.children(u)) and lifted_v.issuperset(y.children(v))
+
+    # worklist fixpoint: a removal can only invalidate the pair's parent
+    pending = sorted(kept)
+    while pending:
+        batch, pending = pending, []
+        for z in batch:
+            if z in kept and not survives(z):
+                kept.discard(z)
+                u, v = z
+                if z != root:
+                    pending.append((x.parent[u], y.parent[v]))
+    if root not in kept:
+        return None
+    # drop nodes whose ancestors were pruned
+    reachable = set()
+    stack = [root]
+    while stack:
+        z = stack.pop()
+        reachable.add(z)
+        stack.extend(w for w in children[z] if w in kept and w not in reachable)
+
+    def pair_id(z):
+        return f"<{z[0]};{z[1]}>"
+
+    def steps():
+        for z in sorted(reachable, key=lambda z: (x.depth(z[0]), z)):
+            u, v = z
+            par = None if z == root else pair_id((x.parent[u], y.parent[v]))
+            yield pair_id(z), par, u, x.valuation[u], x.action_in.get(u)
+
+    mediator = _modal_forest(x.signature, steps())
+    map1 = {pair_id(z): z[0] for z in reachable}
+    map2 = {pair_id(z): z[1] for z in reachable}
+    return oracle.MorphismWitness("open_span", map1, map2, mediator)
+
+
+class TestOpenSpanMatchesThePairForestReference:
+    """On single-rooted forests the game's span exists exactly when the
+    greatest pair-forest span does, and is a sub-forest of it."""
+
+    @given(pointed_pairs(max_size=4), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_ml_and_tree_unravelings(self, pair, k):
+        a, b = pair
+        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (tree_unravel(a, k), tree_unravel(b, k))):
+            for left, right in ((x, y), (y, x), (x, x)):
+                span, ref = find_morphism(left, right, "open_span"), ref_open_span(left, right)
+                assert (span is None) == (ref is None)
+                if span is None:
+                    continue
+                assert check_open_embedding(span.mediator, left, span.mapping)
+                assert check_open_embedding(span.mediator, right, span.mapping2)
+                med = span.mediator
+                assert set(med.nodes) <= set(ref.mediator.nodes)
+                assert set(med.roots) <= set(ref.mediator.roots)
+                assert all(ref.mediator.parent.get(n) == p for n, p in med.parent.items())
+
+
 class TestPointedIsoPaths:
     @given(pointed_pairs(max_size=3), st.integers(min_value=1, max_value=2))
     @settings(max_examples=25, deadline=None)
@@ -700,7 +814,7 @@ def deep_chain(prefix: str, leaf_has_p: bool = True) -> ForestObject:
             val = frozenset({"p"}) if i < DEEP or leaf_has_p else frozenset()
             yield f"{prefix}{i}", f"{prefix}{i - 1}", f"s{i}", val, "a"
 
-    return _modal_forest(suite_signature(n_props=1, n_actions=1), steps(), None)
+    return _modal_forest(suite_signature(n_props=1, n_actions=1), steps())
 
 
 class TestDepthFiveThousand:
@@ -712,12 +826,16 @@ class TestDepthFiveThousand:
         assert forest_canon(x) == forest_canon(y)
         assert pointed_iso(as_pointed(x), as_pointed(y))
         assert x.depth(f"n{DEEP}") == DEEP
+        span = find_morphism(x, y, "open_span")
+        assert span.mapping2 == {f"<n{i};m{i}>": f"m{i}" for i in range(DEEP + 1)}
+        assert span.mediator.depth(f"<n{DEEP};m{DEEP}>") == DEEP
 
     def test_leaf_without_p(self):
         x, y = deep_chain("n"), deep_chain("m", leaf_has_p=False)
         assert find_morphism(x, y, "isomorphism") is None
         assert find_morphism(x, y, "homomorphism") is None
         assert find_morphism(y, x, "pathwise_embedding") is None
+        assert find_morphism(x, y, "open_span") is None
         witness = find_morphism(y, x, "homomorphism")
         assert witness.mapping == {f"m{i}": f"n{i}" for i in range(DEEP + 1)}
         assert forest_canon(x) != forest_canon(y)

@@ -194,3 +194,38 @@ def test_budgets_in_readme():
     text = README.read_text()
     missing = {name: value for name, value in found.items() if f"{value:,}" not in text}
     assert missing == {}
+
+
+def private_names() -> set:
+    """module.name of every module-level ``_name`` in ``src/linspect`` that a
+    function, class or assignment defines."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found |= {
+                f"{path.stem}.{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            }
+    return found
+
+
+def test_private_names_read_in_src():
+    """A private helper that only tests read belongs in the tests."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    names = private_names()
+    assert "oracle._canon_ids" in names and "games._solve" in names
+    assert {name for name in names if name.split(".")[1] not in read} == set()
