@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .games import solve_back_and_forth, solve_bisim, solve_ef, solve_ppeb
 from .logic import eval_formula, parse_formula, render_formula, synth_distinguishing
@@ -107,8 +108,9 @@ def _cmd_game(args) -> int:
         b, _ = load_structure(args.fileB)
         result = solve_ppeb(a, b, args.k, args.len)
     elif kind == "bf":
-        data_a = json.load(open(args.fileA, encoding="utf-8"))
-        data_b = json.load(open(args.fileB, encoding="utf-8"))
+        data_a, data_b = (
+            json.loads(Path(f).read_text(encoding="utf-8")) for f in (args.fileA, args.fileB)
+        )
         result = solve_back_and_forth(
             forest_from_dict(data_a), forest_from_dict(data_b), args.variant
         )
@@ -119,10 +121,9 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.formula_file:
-        text = open(args.formula_file, encoding="utf-8").read()
-    else:
-        text = args.formula
+    text = args.formula
+    if text is None:
+        text = Path(args.formula_file).read_text(encoding="utf-8")
     formula = parse_formula(text)
     p = load_pointed(args.file)
     value = eval_formula(formula, p)
@@ -179,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("eval", help="evaluate a formula on a pointed structure")
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
+    formula = p.add_mutually_exclusive_group(required=True)
+    formula.add_argument("--formula")
+    formula.add_argument("--formula-file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_eval)
 

@@ -7,13 +7,13 @@ verdicts come with machine-checkable witnesses (a response table for the
 surviving player, or a winning attack for the other).
 
 ``_solve`` is memoised backward induction with an explicit stack.  The
-back-and-forth, bisimulation and pebble games and both replays give it a
-winning condition and Spoiler's moves.  The element game is not played:
-``solve_ef`` compares rank-r types, each side's fresh extensions typed once
-under an exact budget.  ``solve_bisim`` plays the rounds below the root at
-depth at most |A| + |B|: partition refinement on the disjoint union is stable
-from round |A| + |B| - 1 on (Kanellakis and Smolka 1990), so the cap changes
-neither the verdict nor the root's Spoiler move.
+back-and-forth, bisimulation and pebble games and the three replays give it a
+winning condition and the game's moves, each with Duplicator's answers.  The
+element game is not played: ``solve_ef`` compares rank-r types, each side's
+fresh extensions typed once under an exact budget.  ``solve_bisim`` plays the
+rounds below the root at depth at most |A| + |B|: partition refinement on the
+disjoint union is stable from round |A| + |B| - 1 on (Kanellakis and Smolka
+1990), so the cap changes neither the verdict nor the root's Spoiler move.
 
 Every back-and-forth game starts at the empty paths, whose one-step
 extensions are the roots: a root comparison is Spoiler's first move, and
@@ -27,12 +27,14 @@ Solvers and replays share one implementation of each job.  ``_partial_iso``
 is the partial-isomorphism check behind ``_pairs_partial_iso`` (the pebble
 game), ``_pebbled_compatible`` (pebbled paths) and the solver's
 pebbled step; ``_path_condition`` is the path condition behind ``path_iso``
-and ``path_hom_compatible``.  The back-and-forth solver and its replays share
-``_covers``, ``_moves``, ``_answers``, ``_after``, ``_bf_moves`` and the
-strategy walk ``_strategy_walk``; ``solve_ppeb`` and its replay share
-``_pebble_game``.  The solver checks only a position's newest pair, against
-each pebble's latest placement; the replays check the full path condition, so
-they stay an independent check.
+and ``path_hom_compatible``.  ``_bf_moves`` is the one source of
+back-and-forth moves and ``_pebble_game`` that of pebble placements: the
+solvers, the strategy walk ``_strategy_walk`` and the replays all read them.
+A replay is ``_solve`` on the solver's own game with one player held to the
+table's choice among the legal ones, so a table that names an illegal move
+or answer loses.  Its independence lies in its winning condition: the solver
+checks only a position's newest pair, against each pebble's latest
+placement, while the replays check the full path condition.
 """
 
 from __future__ import annotations
@@ -239,6 +241,18 @@ def _solve(start, ok, moves) -> tuple[dict, dict, dict]:
     return value, answer, refute
 
 
+def _held_to(moves, table: dict):
+    """``moves`` for ``_solve`` with Duplicator held to a table: the only
+    answer to a move is the legal one equal to ``table[pos, move]``, and there
+    is none where the table names an illegal answer or no answer."""
+
+    def held(pos):
+        for move, answers in moves(pos):
+            yield move, [a for a in answers if a[0] == table.get((pos, move))]
+
+    return held
+
+
 # --- the back-and-forth game ---------------------------------------------------
 
 # A position is a pair (u, v) of path ends, None standing for the empty path;
@@ -247,27 +261,10 @@ def _solve(start, ok, moves) -> tuple[dict, dict, dict]:
 
 _START = (None, None)
 
-_OTHER_SIDE = {"left": "right", "right": "left"}
-
 
 def _covers(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
     """The one-step extensions of the path ending at ``node``."""
     return forest.roots if node is None else forest.children(node)
-
-
-def _moves(x: ForestObject, y: ForestObject, pos: tuple, variant: Variant) -> list:
-    """Spoiler's moves at ``pos``: every left extension, then (in the full
-    game) every right one."""
-    u, v = pos
-    moves = [("left", u2) for u2 in _covers(x, u)]
-    if variant == "full":
-        moves += [("right", v2) for v2 in _covers(y, v)]
-    return moves
-
-
-def _answers(x: ForestObject, y: ForestObject, pos: tuple, move: tuple) -> tuple:
-    """Duplicator's candidate answers to ``move``: extensions on the other side."""
-    return _covers(y, pos[1]) if move[0] == "left" else _covers(x, pos[0])
 
 
 def _after(move: tuple, answer: Optional[str]) -> tuple:
@@ -275,28 +272,42 @@ def _after(move: tuple, answer: Optional[str]) -> tuple:
     return (move[1], answer) if move[0] == "left" else (answer, move[1])
 
 
-def _bf_moves(x: ForestObject, y: ForestObject, spoiler):
-    """The back-and-forth game's moves for ``_solve``: Spoiler plays the moves
-    ``spoiler(pos)`` lists, and Duplicator answers ``(side, node)`` on the
-    other side, as the Duplicator tables record it."""
+def _bf_moves(x: ForestObject, y: ForestObject, variant: Variant):
+    """The back-and-forth game's moves for ``_solve``, its one source of moves:
+    at ``(u, v)`` Spoiler extends the left path by each covering step, then,
+    in the full game only, the right one, and Duplicator answers ``(side,
+    node)`` with a covering step on the other side.  The solver,
+    ``_strategy_walk`` and both replays read them, so the replays'
+    independence lies in the full path condition; the tests' recursive
+    reference ``ref_back_and_forth`` lists its moves on its own."""
+
+    def answered(move: tuple, side: str, candidates: tuple[str, ...]):
+        for w in candidates:
+            yield (side, w), _after(move, w)
 
     def moves(pos: tuple):
-        for move in spoiler(pos):
-            side = _OTHER_SIDE[move[0]]
-            yield move, (((side, w), _after(move, w)) for w in _answers(x, y, pos, move))
+        u, v = pos
+        left, right = _covers(x, u), _covers(y, v)
+        for u2 in left:
+            move = ("left", u2)
+            yield move, answered(move, "right", right)
+        if variant == "full":
+            for v2 in right:
+                move = ("right", v2)
+                yield move, answered(move, "left", left)
 
     return moves
 
 
-def _strategy_walk(x: ForestObject, y: ForestObject, variant: Variant, table: dict):
-    """Yield ``(position, move, response)`` for every Spoiler move at every
-    position that the Duplicator table reaches from the initial position,
-    depth first; ``response`` is None where the table has no entry, and the
-    walk does not continue past it."""
+def _strategy_walk(moves, table: dict):
+    """Yield ``(position, move, response)`` for every move of ``moves`` at
+    every position that the Duplicator table reaches from the initial
+    position, depth first; ``response`` is None where the table has no entry,
+    and the walk does not continue past it."""
     stack, seen = [_START], {_START}
     while stack:
         pos = stack.pop()
-        for move in _moves(x, y, pos, variant):
+        for move, _ in moves(pos):
             response = table.get((pos, move))
             yield pos, move, response
             if response is None:
@@ -352,11 +363,11 @@ def solve_back_and_forth(
         ``_solve`` reaches a position through the one before it."""
         return pos == _START or pair_ok(*pos)
 
-    moves = _bf_moves(x, y, lambda pos: _moves(x, y, pos, variant))
+    moves = _bf_moves(x, y, variant)
     value, answer, refute = _solve(_START, step_ok, moves)
     if not value[_START]:
         return GameResult(SPOILER, refute)
-    walk = _strategy_walk(x, y, variant, answer)
+    walk = _strategy_walk(moves, answer)
     return GameResult(DUPLICATOR, {(pos, m): r for pos, m, r in walk if r is not None})
 
 
@@ -373,24 +384,26 @@ def _replay_condition(x: ForestObject, y: ForestObject, variant: Variant):
 def replay_duplicator(
     x: ForestObject, y: ForestObject, variant: Variant, table: dict
 ) -> bool:
-    """Check a Duplicator table: every Spoiler move from every reachable
-    position has a response that stays inside the winning condition."""
-    ok = _replay_condition(x, y, variant)
-    return all(
-        response is not None and ok(_after(move, response[1]))
-        for _, move, response in _strategy_walk(x, y, variant, table)
-    )
+    """Check a Duplicator table: the solver's game from ``_bf_moves``, with
+    Duplicator's only answer the legal one equal to ``table[pos, move]``,
+    must stay inside the full path condition against every Spoiler move."""
+    moves = _held_to(_bf_moves(x, y, variant), table)
+    return _solve(_START, _replay_condition(x, y, variant), moves)[0][_START]
 
 
 def replay_spoiler(
     x: ForestObject, y: ForestObject, variant: Variant, table: dict
 ) -> bool:
-    """Check a Spoiler table: following its moves, every Duplicator response
-    chain eventually leaves the winning condition or strands Duplicator."""
-    ok = _replay_condition(x, y, variant)
-    # Spoiler's only move is the table's; where it has none, Duplicator wins
-    moves = _bf_moves(x, y, lambda pos: [table[pos]] if pos in table else [])
-    return not _solve(_START, ok, moves)[0][_START]
+    """Check a Spoiler table: the solver's game from ``_bf_moves``, with
+    Spoiler's only move the legal one equal to ``table[pos]``, must leave the
+    full path condition or strand Duplicator on every line; where the table
+    has no legal move, Duplicator wins."""
+    bf = _bf_moves(x, y, variant)
+
+    def moves(pos: tuple):
+        return ((move, answers) for move, answers in bf(pos) if move == table.get(pos))
+
+    return not _solve(_START, _replay_condition(x, y, variant), moves)[0][_START]
 
 
 # --- depth-bounded bisimulation -------------------------------------------------
@@ -456,9 +469,10 @@ def _place(gamma: tuple, move: tuple, answer: str) -> tuple:
     return tuple(sorted(g2.items()))
 
 
-def _pebble_game(a: Structure, b: Structure, k: int, answers):
-    """The pebble game's winning condition and moves for ``_solve``;
-    ``answers(pos, move)`` lists Duplicator's candidate answers."""
+def _pebble_game(a: Structure, b: Structure, k: int):
+    """The pebble game's winning condition and moves for ``_solve``, the one
+    source of them: Duplicator answers a placement with an element of the
+    other structure."""
 
     def ok(pos: tuple) -> bool:
         return _pairs_partial_iso([pair for _, pair in pos[0]], a, b, True)
@@ -467,8 +481,9 @@ def _pebble_game(a: Structure, b: Structure, k: int, answers):
         gamma, remaining = pos
         if remaining > 0:
             for move in _placements(a, b, k):
+                other = b if move[0] == "A" else a
                 yield move, (
-                    (w, (_place(gamma, move, w), remaining - 1)) for w in answers(pos, move)
+                    (w, (_place(gamma, move, w), remaining - 1)) for w in other.universe
                 )
 
     return ok, moves
@@ -509,9 +524,7 @@ def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
                 "elements may take more"
             )
         level = min(level * k * m, assignments)
-    ok, moves = _pebble_game(
-        a, b, k, lambda pos, move: (b if move[0] == "A" else a).universe
-    )
+    ok, moves = _pebble_game(a, b, k)
     start = ((), n)
     value, answer, refute = _solve(start, ok, moves)
     return GameResult(DUPLICATOR, answer) if value[start] else GameResult(SPOILER, refute)
@@ -520,13 +533,13 @@ def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
 def replay_ppeb_duplicator(
     a: Structure, b: Structure, k: int, n: int, table: dict
 ) -> bool:
-    """Check a pebble-game response table: every placement sequence answered
-    move by move keeps the pairing a partial isomorphism."""
-    ok, moves = _pebble_game(
-        a, b, k, lambda pos, move: [table[pos, move]] if (pos, move) in table else []
-    )
+    """Check a pebble-game response table: the solver's game from
+    ``_pebble_game``, with Duplicator's only answer the table's element, and
+    that only when it belongs to the other structure, must keep the pairing a
+    partial isomorphism along every placement sequence."""
+    ok, moves = _pebble_game(a, b, k)
     start = ((), n)
-    return _solve(start, ok, moves)[0][start]
+    return _solve(start, ok, _held_to(moves, table))[0][start]
 
 
 # --- rounds-bounded first-order game --------------------------------------------

@@ -10,7 +10,9 @@ structures at any depth.
 
 Every suite draws reproducible samples via the seed protocol
 ``seed + sample_index`` and evaluates each claim through independent code
-paths, reporting agreements and the first counterexample found.
+paths, reporting agreements and the first counterexample found.  All but
+cor74, which pools its draws into one universe, run their samples through
+the one seeded loop ``_sampled``.
 """
 
 from __future__ import annotations
@@ -293,75 +295,63 @@ def _transfer(a: PointedStructure, b: PointedStructure, k: int, fragment: str) -
     return True
 
 
-def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("thm61", samples)
-    sig = suite_signature(n_props=1, n_actions=2)
+def _sampled(name: str, samples: int, seed: int, problem: Callable) -> SuiteReport:
+    """The seed protocol that every suite but cor74 shares: sample i is
+    ``problem(random.Random(seed + i))``, the sample's first counterexample
+    or None, so a run's sample i is the one-sample run at ``seed + i``."""
+    report = SuiteReport(name, samples)
     for i in range(samples):
-        rng = random.Random(seed + i)
-        a = gen_pointed(sig, size, rng)
-        b = gen_pointed(sig, size, rng)
-        ua, _ = ml_unravel(a, k)
-        ub, _ = ml_unravel(b, k)
-        problem = None
-        checks = [
-            (
-                "item1",
-                find_morphism(ua, ub, "homomorphism") is not None,
-                check_trace_relation("tr", a, b, k).holds,
-                _transfer(a, b, k, "DiamondPos"),
-            ),
-            (
-                "item1-rev",
-                find_morphism(ub, ua, "homomorphism") is not None,
-                check_trace_relation("tr", b, a, k).holds,
-                _transfer(b, a, k, "DiamondPos"),
-            ),
-            (
-                "item2",
-                find_morphism(ua, ub, "pathwise_embedding") is not None,
-                check_trace_relation("ltr", a, b, k).holds,
-                _transfer(a, b, k, "Diamond"),
-            ),
-            (
-                "item2-rev",
-                find_morphism(ub, ua, "pathwise_embedding") is not None,
-                check_trace_relation("ltr", b, a, k).holds,
-                _transfer(b, a, k, "Diamond"),
-            ),
-            (
-                "item3",
-                find_morphism(ua, ub, "open_span") is not None,
-                check_trace_relation("cltr", a, b, k).holds,
-                _transfer(a, b, k, "DeadlockDiamond")
-                and _transfer(b, a, k, "DeadlockDiamond"),
-            ),
-            (
-                "item4",
-                find_morphism(ua, ub, "isomorphism") is not None,
-                check_trace_relation("gltr", a, b, k).holds,
-                _transfer(a, b, k, "Graded") and _transfer(b, a, k, "Graded"),
-            ),
-        ]
-        for label, categorical, behavioural, logical in checks:
-            if not (categorical == behavioural == logical):
-                problem = (
-                    f"{label}: categorical={categorical} behavioural={behavioural} "
-                    f"logical={logical}"
-                )
-                break
-        report.record(i, problem)
+        report.record(i, problem(random.Random(seed + i)))
     return report
 
 
-def _suite_thm48(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("thm48", samples)
+# Theorem 6.1's items: the morphism kind between the ML unravelings, the trace
+# relation and the fragment whose trace formulas transfer, which must agree.
+# tr and ltr are directed, checked both ways, transferring one way each;
+# cltr and gltr are checked once, transferring both ways.
+THM61_ITEMS = (
+    ("item1", "homomorphism", "tr", "DiamondPos"),
+    ("item2", "pathwise_embedding", "ltr", "Diamond"),
+    ("item3", "open_span", "cltr", "DeadlockDiamond"),
+    ("item4", "isomorphism", "gltr", "Graded"),
+)
+
+
+def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
     sig = suite_signature(n_props=1, n_actions=2)
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
+        a = gen_pointed(sig, size, rng)
+        b = gen_pointed(sig, size, rng)
+        ua, ub = ml_unravel(a, k)[0], ml_unravel(b, k)[0]
+        for label, kind, relation, fragment in THM61_ITEMS:
+            directed = relation in ("tr", "ltr")
+            sides = [(label, a, b, ua, ub)]
+            if directed:
+                sides.append((f"{label}-rev", b, a, ub, ua))
+            for name, p, q, up, uq in sides:
+                categorical = find_morphism(up, uq, kind) is not None
+                behavioural = check_trace_relation(relation, p, q, k).holds
+                logical = _transfer(p, q, k, fragment)
+                if not directed:
+                    logical = logical and _transfer(q, p, k, fragment)
+                if not categorical == behavioural == logical:
+                    return (
+                        f"{name}: categorical={categorical} behavioural={behavioural} "
+                        f"logical={logical}"
+                    )
+        return None
+
+    return _sampled("thm61", samples, seed, problem)
+
+
+def _suite_thm48(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
+    sig = suite_signature(n_props=1, n_actions=2)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
         ta, tb = tree_unravel(a, k), tree_unravel(b, k)
-        problem = None
         implications = [
             (
                 "morphism->tr",
@@ -388,40 +378,36 @@ def _suite_thm48(size: int, k: int, samples: int, seed: int, length: int) -> Sui
         ]
         for label, branching, linear in implications:
             if branching and not linear:
-                problem = f"{label}: branching holds but linear fails"
-                break
-        report.record(i, problem)
-    return report
+                return f"{label}: branching holds but linear fails"
+        return None
+
+    return _sampled("thm48", samples, seed, problem)
 
 
 def _suite_thm54(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("thm54", samples)
     sig = Signature((("P", 1), ("R", 2)))
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_structure(sig, size, rng)
         b = gen_structure(sig, size, rng)
         direct = solve_ppeb(a, b, k, length).duplicator_wins
         fa, _ = pr_unravel(a, k, length)
         fb, _ = pr_unravel(b, k, length)
         game = solve_back_and_forth(fa, fb, "full").duplicator_wins
-        problem = None
-        if direct != game:
-            problem = f"all-in-one={direct} back-and-forth={game}"
-        report.record(i, problem)
-    return report
+        return None if direct == game else f"all-in-one={direct} back-and-forth={game}"
+
+    return _sampled("thm54", samples, seed, problem)
 
 
 def _suite_prop84(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("prop84", samples)
     sig = suite_signature(n_props=1, n_actions=2)
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         verdict = check_trace_relation("cltr", a, ml_graft(a, k), "exact")
-        problem = None if verdict.holds else f"cltr fails: {verdict.render_witness()}"
-        report.record(i, problem)
-    return report
+        return None if verdict.holds else f"cltr fails: {verdict.render_witness()}"
+
+    return _sampled("prop84", samples, seed, problem)
 
 
 def _pointed_tree_canon(p: PointedStructure) -> Optional[tuple]:
@@ -567,19 +553,18 @@ def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
 
 
 def _suite_prop85(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("prop85", samples)
     sig = suite_signature(n_props=1, n_actions=2)
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         lhs = ball(ml_graft(a, k), k)
         rhs = as_pointed(ml_unravel(a, k)[0])
-        problem = None if pointed_iso(lhs, rhs) else (
+        return None if pointed_iso(lhs, rhs) else (
             f"no isomorphism: ball has {len(lhs.base.universe)} elements, "
             f"unraveling has {len(rhs.base.universe)}"
         )
-        report.record(i, problem)
-    return report
+
+    return _sampled("prop85", samples, seed, problem)
 
 
 def workspace(a: PointedStructure, r: int, k: int) -> Structure:
@@ -596,29 +581,26 @@ def _suite_lemma83(size: int, r: int, samples: int, seed: int, length: int) -> S
         raise ValueError(
             "lemma83 runs only within its documented budget (size <= 6, rank k <= 2)"
         )
-    report = SuiteReport("lemma83", samples)
     sig = suite_signature(n_props=1, n_actions=1)
     k = 2**r
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = workspace(a, r, k)
         lhs = pointed_sum(a, b)
         rhs = pointed_sum(ball(a, k), b)
         res = solve_ef(lhs.base, rhs.base, r, (lhs.point,), (rhs.point,))
-        problem = None if res.duplicator_wins else "spoiler wins the rank-r game"
-        report.record(i, problem)
-    return report
+        return None if res.duplicator_wins else "spoiler wins the rank-r game"
+
+    return _sampled("lemma83", samples, seed, problem)
 
 
 def _suite_lemma313(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:
-    report = SuiteReport("lemma313", samples)
     sig = suite_signature(n_props=1, n_actions=2)
-    for i in range(samples):
-        rng = random.Random(seed + i)
+
+    def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
-        problem = None
         for maker in (tree_unravel, lambda p, kk: ml_unravel(p, kk)[0]):
             x, y = maker(a, k), maker(b, k)
             if solve_back_and_forth(x, y, "full").duplicator_wins:
@@ -627,13 +609,13 @@ def _suite_lemma313(size: int, k: int, samples: int, seed: int, length: int) -> 
                 hom_lr = find_morphism(x, y, "homomorphism") is not None
                 hom_rl = find_morphism(y, x, "homomorphism") is not None
                 if not (exist_lr and exist_rl and hom_lr and hom_rl):
-                    problem = (
+                    return (
                         f"full win but existential=({exist_lr},{exist_rl}) "
                         f"homomorphisms=({hom_lr},{hom_rl})"
                     )
-                    break
-        report.record(i, problem)
-    return report
+        return None
+
+    return _sampled("lemma313", samples, seed, problem)
 
 
 def _enumerate_deadlock_formulas(k: int, props: Sequence[str], actions: Sequence[str]):

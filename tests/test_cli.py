@@ -358,6 +358,20 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "eval", "--formula", "(dia zz tt)", fx("fix4"))
         assert code == 2
 
+    def test_eval_needs_a_formula_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", fx("fix1")])
+        assert exc.value.code == 2
+        assert "one of the arguments --formula --formula-file is required" in capsys.readouterr().err
+
+    def test_eval_takes_one_formula_flag_only(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("tt")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--formula", "tt", "--formula-file", str(path), fx("fix1")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_scripts_run(self, capsys):
         import subprocess, sys
 

@@ -14,16 +14,11 @@ from linspect.games import (
     SPOILER,
     GameResult,
     PathHandle,
-    _OTHER_SIDE,
-    _after,
-    _answers,
-    _moves,
     _pairs_partial_iso,
     _pebbled_compatible,
     _place,
     _placements,
     _solve,
-    _strategy_walk,
     path_hom_compatible,
     path_iso,
     replay_duplicator,
@@ -434,6 +429,55 @@ class TestReplayNegativeControls:
         assert not replay_ppeb_duplicator(s, s, 2, 2, {**table, entry: "n2"})
 
 
+class TestReplaysRejectIllegalTables:
+    """A replay plays the solver's game with one player held to the table, so
+    a table that names an illegal move or answer loses, even where the moves
+    it names would keep the paths isomorphic."""
+
+    def test_spoiler_table_opening_below_the_roots(self):
+        x, y = ml_unravel(fix1(), 3)[0], ml_unravel(fix2(), 3)[0]
+        assert solve_back_and_forth(x, y, "full").duplicator_wins
+        deep = next(n for n in x.nodes if x.depth(n) == 2)
+        assert not replay_spoiler(x, y, "full", {(None, None): ("left", deep)})
+
+    def test_spoiler_table_playing_right_in_the_existential_game(self):
+        from linspect.fixtures import fix3
+
+        x, y = ml_unravel(fix4(), 2)[0], ml_unravel(fix3(), 2)[0]
+        res = solve_back_and_forth(x, y, "full")
+        assert res.winner == SPOILER
+        assert any(move[0] == "right" for move in res.witness.values())
+        assert solve_back_and_forth(x, y, "existential").duplicator_wins
+        assert replay_spoiler(x, y, "full", res.witness)
+        assert not replay_spoiler(x, y, "existential", res.witness)
+
+    def test_duplicator_answer_off_the_position(self):
+        from linspect.fixtures import MODAL_SIG
+        from linspect.structures import PointedStructure
+
+        # r -a-> u -b-> u2 and r -a-> v -b-> v2
+        interp = {
+            "a": frozenset({("r", "u"), ("r", "v")}),
+            "b": frozenset({("u", "u2"), ("v", "v2")}),
+        }
+        s = PointedStructure(Structure(MODAL_SIG, ("r", "u", "v", "u2", "v2"), interp), "r")
+        x = tree_unravel(s, 2)
+        table = solve_back_and_forth(x, x, "full").witness
+        entry = (("@r>a:u", "@r>a:v"), ("left", "@r>a:u>b:u2"))
+        assert table[entry] == ("right", "@r>a:v>b:v2")
+        assert replay_duplicator(x, x, "full", table)
+        # the same labels, but not a child of @r>a:v
+        assert not replay_duplicator(x, x, "full", {**table, entry: ("right", "@r>a:u>b:u2")})
+
+    def test_pebble_answer_outside_the_structure(self):
+        from linspect.games import replay_ppeb_duplicator
+
+        s = Structure(Signature((("R", 2),)), ("e",), {"R": frozenset()})
+        table = solve_ppeb(s, s, 1, 1).witness
+        assert replay_ppeb_duplicator(s, s, 1, 1, table)
+        assert not replay_ppeb_duplicator(s, s, 1, 1, {entry: "ghost" for entry in table})
+
+
 class TestSerializedPebbledGames:
     def test_round_tripped_forests_play_identically(self):
         from linspect.unravel import forest_from_dict, forest_to_dict, pr_unravel
@@ -462,6 +506,21 @@ def ref_back_and_forth(x, y, variant):
     reflect = variant != "existential_positive"
     bottom = (None, None)
 
+    def covers(forest, node):
+        return list(forest.roots) if node is None else list(forest.children(node))
+
+    def moves(pos):
+        """Spoiler's moves with Duplicator's side and candidate positions."""
+        u, v = pos
+        listed = [
+            (("left", u2), "right", [(u2, w) for w in covers(y, v)]) for u2 in covers(x, u)
+        ]
+        if variant == "full":
+            listed += [
+                (("right", v2), "left", [(w, v2) for w in covers(x, u)]) for v2 in covers(y, v)
+            ]
+        return listed
+
     def step_ok(u, v):
         if modal:
             vu, vv = x.valuation[u], y.valuation[v]
@@ -477,31 +536,30 @@ def ref_back_and_forth(x, y, variant):
         if pos in memo:
             return memo[pos]
         result = True
-        for move in _moves(x, y, pos, variant):
-            answer = next(
-                (
-                    w
-                    for w in _answers(x, y, pos, move)
-                    if step_ok(*_after(move, w)) and win(_after(move, w))
-                ),
-                None,
-            )
-            if answer is None:
+        for move, side, nexts in moves(pos):
+            nxt = next((n for n in nexts if step_ok(*n) and win(n)), None)
+            if nxt is None:
                 result = False
                 spoiler_table[pos] = move
                 break
-            duplicator_table[(pos, move)] = (_OTHER_SIDE[move[0]], answer)
+            duplicator_table[(pos, move)] = (side, nxt[0] if side == "left" else nxt[1])
         memo[pos] = result
         return result
 
-    if win(bottom):
-        reachable = {
-            (pos, move): response
-            for pos, move, response in _strategy_walk(x, y, variant, duplicator_table)
-            if response is not None
-        }
-        return GameResult(DUPLICATOR, reachable)
-    return GameResult(SPOILER, dict(spoiler_table))
+    if not win(bottom):
+        return GameResult(SPOILER, dict(spoiler_table))
+    # the entries at the positions the table reaches, depth first
+    reachable, stack, seen = {}, [bottom], {bottom}
+    while stack:
+        pos = stack.pop()
+        for move, side, nexts in moves(pos):
+            if (pos, move) in duplicator_table:
+                response = reachable[(pos, move)] = duplicator_table[(pos, move)]
+                nxt = (move[1], response[1]) if side == "right" else (response[1], move[1])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return GameResult(DUPLICATOR, reachable)
 
 
 def ref_bisim(a, b, k):

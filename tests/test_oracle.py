@@ -13,7 +13,6 @@ from linspect.games import (
     PathHandle,
     path_hom_compatible,
     path_iso,
-    solve_back_and_forth,
     solve_bisim,
 )
 from linspect import oracle
@@ -125,16 +124,6 @@ class TestFindMorphism:
 
     @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
-    def test_span_matches_full_game(self, pair, k):
-        a, b = pair
-        x, _ = ml_unravel(a, k)
-        y, _ = ml_unravel(b, k)
-        span = find_morphism(x, y, "open_span")
-        game = solve_back_and_forth(x, y, "full")
-        assert (span is not None) == game.duplicator_wins
-
-    @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
-    @settings(max_examples=40, deadline=None)
     def test_span_matches_game_on_trees(self, pair, k):
         a, b = pair
         x, y = tree_unravel(a, k), tree_unravel(b, k)
@@ -201,6 +190,254 @@ class TestSuites:
         a = run_suite("prop85", 3, 2, 8, 42).render()
         b = run_suite("prop85", 3, 2, 8, 42).render()
         assert a == b
+
+
+class NegatedVerdict:
+    def __init__(self, holds: bool) -> None:
+        self.holds = holds
+
+
+def negate_relation(relation: str, reversed_only: bool = False):
+    """``check_trace_relation`` with one relation's verdicts negated; with
+    ``reversed_only``, only on a call whose arguments swap the previous one's
+    for that relation."""
+    real, previous = oracle.check_trace_relation, []
+
+    def patched(rel, a, b, k):
+        verdict = real(rel, a, b, k)
+        if rel != relation:
+            return verdict
+        swapped = bool(previous) and a is previous[0][1] and b is previous[0][0]
+        previous[:] = [(a, b)]
+        return verdict if reversed_only and not swapped else NegatedVerdict(not verdict.holds)
+
+    return patched
+
+
+def flip_kind(kind: str):
+    """``find_morphism`` with one morphism kind's answers flipped."""
+    real = oracle.find_morphism
+
+    def patched(x, y, k):
+        found = real(x, y, k)
+        if k != kind:
+            return found
+        return None if found is not None else object()
+
+    return patched
+
+
+FORCED_FAILURES = {
+    **{f"negate {rel}": ("check_trace_relation", rel, False) for rel in ("tr", "ltr", "cltr", "gltr")},
+    "negate reversed tr": ("check_trace_relation", "tr", True),
+    **{f"flip {kind}": ("find_morphism", kind, None)
+       for kind in ("homomorphism", "pathwise_embedding", "open_span", "isomorphism")},
+}
+
+
+def force(monkeypatch, failure: str) -> None:
+    name, what, reversed_only = FORCED_FAILURES[failure]
+    patched = flip_kind(what) if name == "find_morphism" else negate_relation(what, reversed_only)
+    monkeypatch.setattr(oracle, name, patched)
+
+
+# ``run_suite(suite, 2, 2, 6, 3)`` under each forced failure, as the suites
+# reported it when each wrote out its own sample loop and thm61 its six checks
+FORCED_REPORTS = {
+    ('negate tr', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item1: categorical=True behavioural=False logical=True',
+        'sample 1: item1: categorical=True behavioural=False logical=True',
+        'sample 2: item1: categorical=True behavioural=False logical=True',
+        'sample 3: item1: categorical=True behavioural=False logical=True',
+        'sample 4: item1: categorical=False behavioural=True logical=False',
+        'sample 5: item1: categorical=True behavioural=False logical=True',
+    ],
+    ('negate tr', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 1 FAIL 5',
+        'sample 0: morphism->tr: branching holds but linear fails',
+        'sample 1: morphism->tr: branching holds but linear fails',
+        'sample 2: morphism->tr: branching holds but linear fails',
+        'sample 3: morphism->tr: branching holds but linear fails',
+        'sample 5: morphism->tr: branching holds but linear fails',
+    ],
+    ('negate tr', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('negate ltr', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item2: categorical=False behavioural=True logical=False',
+        'sample 1: item2: categorical=True behavioural=False logical=True',
+        'sample 2: item2: categorical=True behavioural=False logical=True',
+        'sample 3: item2: categorical=True behavioural=False logical=True',
+        'sample 4: item2: categorical=False behavioural=True logical=False',
+        'sample 5: item2: categorical=True behavioural=False logical=True',
+    ],
+    ('negate ltr', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 5 FAIL 1',
+        'sample 3: embeddings->ltr: branching holds but linear fails',
+    ],
+    ('negate ltr', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('negate cltr', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item3: categorical=False behavioural=True logical=False',
+        'sample 1: item3: categorical=False behavioural=True logical=False',
+        'sample 2: item3: categorical=False behavioural=True logical=False',
+        'sample 3: item3: categorical=True behavioural=False logical=True',
+        'sample 4: item3: categorical=False behavioural=True logical=False',
+        'sample 5: item3: categorical=False behavioural=True logical=False',
+    ],
+    ('negate cltr', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 5 FAIL 1',
+        'sample 3: bisim->cltr: branching holds but linear fails',
+    ],
+    ('negate cltr', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('negate gltr', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item4: categorical=False behavioural=True logical=False',
+        'sample 1: item4: categorical=False behavioural=True logical=False',
+        'sample 2: item4: categorical=False behavioural=True logical=False',
+        'sample 3: item4: categorical=True behavioural=False logical=True',
+        'sample 4: item4: categorical=False behavioural=True logical=False',
+        'sample 5: item4: categorical=False behavioural=True logical=False',
+    ],
+    ('negate gltr', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 5 FAIL 1',
+        'sample 3: tree-iso->gltr: branching holds but linear fails',
+    ],
+    ('negate gltr', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('negate reversed tr', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item1-rev: categorical=False behavioural=True logical=False',
+        'sample 1: item1-rev: categorical=False behavioural=True logical=False',
+        'sample 2: item1-rev: categorical=False behavioural=True logical=False',
+        'sample 3: item1-rev: categorical=True behavioural=False logical=True',
+        'sample 4: item1-rev: categorical=False behavioural=True logical=False',
+        'sample 5: item1-rev: categorical=False behavioural=True logical=False',
+    ],
+    ('negate reversed tr', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('negate reversed tr', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('flip homomorphism', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item1: categorical=False behavioural=True logical=True',
+        'sample 1: item1: categorical=False behavioural=True logical=True',
+        'sample 2: item1: categorical=False behavioural=True logical=True',
+        'sample 3: item1: categorical=False behavioural=True logical=True',
+        'sample 4: item1: categorical=True behavioural=False logical=False',
+        'sample 5: item1: categorical=False behavioural=True logical=True',
+    ],
+    ('flip homomorphism', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 5 FAIL 1',
+        'sample 4: morphism->tr: branching holds but linear fails',
+    ],
+    ('flip homomorphism', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 5 FAIL 1',
+        'sample 3: full win but existential=(True,True) homomorphisms=(False,False)',
+    ],
+    ('flip pathwise_embedding', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item2: categorical=True behavioural=False logical=False',
+        'sample 1: item2: categorical=False behavioural=True logical=True',
+        'sample 2: item2: categorical=False behavioural=True logical=True',
+        'sample 3: item2: categorical=False behavioural=True logical=True',
+        'sample 4: item2: categorical=True behavioural=False logical=False',
+        'sample 5: item2: categorical=False behavioural=True logical=True',
+    ],
+    ('flip pathwise_embedding', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 4 FAIL 2',
+        'sample 0: embeddings->ltr: branching holds but linear fails',
+        'sample 4: embeddings->ltr: branching holds but linear fails',
+    ],
+    ('flip pathwise_embedding', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('flip open_span', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item3: categorical=True behavioural=False logical=False',
+        'sample 1: item3: categorical=True behavioural=False logical=False',
+        'sample 2: item3: categorical=True behavioural=False logical=False',
+        'sample 3: item3: categorical=False behavioural=True logical=True',
+        'sample 4: item3: categorical=True behavioural=False logical=False',
+        'sample 5: item3: categorical=True behavioural=False logical=False',
+    ],
+    ('flip open_span', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('flip open_span', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+    ('flip isomorphism', 'thm61'): [
+        'SUITE thm61 SAMPLES 6 AGREE 0 FAIL 6',
+        'sample 0: item4: categorical=True behavioural=False logical=False',
+        'sample 1: item4: categorical=True behavioural=False logical=False',
+        'sample 2: item4: categorical=True behavioural=False logical=False',
+        'sample 3: item4: categorical=False behavioural=True logical=True',
+        'sample 4: item4: categorical=True behavioural=False logical=False',
+        'sample 5: item4: categorical=True behavioural=False logical=False',
+    ],
+    ('flip isomorphism', 'thm48'): [
+        'SUITE thm48 SAMPLES 6 AGREE 1 FAIL 5',
+        'sample 0: tree-iso->gltr: branching holds but linear fails',
+        'sample 1: tree-iso->gltr: branching holds but linear fails',
+        'sample 2: tree-iso->gltr: branching holds but linear fails',
+        'sample 4: tree-iso->gltr: branching holds but linear fails',
+        'sample 5: tree-iso->gltr: branching holds but linear fails',
+    ],
+    ('flip isomorphism', 'lemma313'): [
+        'SUITE lemma313 SAMPLES 6 AGREE 6 FAIL 0',
+    ],
+}
+
+
+class TestSuitesUnderForcedFailures:
+    """The reports pin each suite's checks, their order and their failure
+    lines; thm61 stops at its first failing check."""
+
+    @pytest.mark.parametrize("failure, suite", list(FORCED_REPORTS))
+    def test_report_text(self, monkeypatch, failure, suite):
+        force(monkeypatch, failure)
+        assert run_suite(suite, 2, 2, 6, 3).render().splitlines() == FORCED_REPORTS[failure, suite]
+
+
+class TestSeedProtocol:
+    """Sample i of a run at ``seed`` is the one-sample run at ``seed + i``."""
+
+    @pytest.mark.parametrize(
+        "name, size, k, length",
+        [
+            ("thm61", 3, 2, 4),
+            ("thm48", 3, 2, 4),
+            ("thm54", 2, 2, 3),
+            ("prop84", 3, 2, 4),
+            ("prop85", 3, 2, 4),
+            ("lemma83", 3, 1, 4),
+            ("lemma313", 2, 2, 4),
+        ],
+    )
+    @pytest.mark.parametrize("failure", [None, "flip homomorphism"])
+    def test_samples_are_one_sample_runs(self, monkeypatch, name, size, k, length, failure):
+        if failure is not None:
+            force(monkeypatch, failure)
+        seed, n = 17, 5
+        report = run_suite(name, size, k, n, seed, length)
+        singles = [run_suite(name, size, k, 1, seed + i, length) for i in range(n)]
+        assert report.samples == n
+        assert report.agree == sum(single.agree for single in singles)
+        assert report.failures == [
+            line.replace("sample 0:", f"sample {i}:", 1)
+            for i, single in enumerate(singles)
+            for line in single.failures
+        ]
 
 
 class TestWorkspace:
