@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Check that two linspect source trees print the same thing.
+
+    python scripts/same_output.py OLD_SRC NEW_SRC
+
+Runs one fixed command list through ``linspect.cli.main``, once per tree,
+each in its own subprocess that imports ``linspect`` from that tree, and
+compares every command's stdout, stderr and exit code.  The list is
+``distinguish`` on every ordered pair of the files under ``fixtures/``, under
+each of the four fragments at k 0-4, then every operation of the benchmark's
+``explain`` workload at seeds 1-3, in order, each ``eval`` given the formula
+that its ``distinguish`` printed on the same tree.  Prints the first
+difference and exits 1, or the number of commands compared and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FRAGMENTS = ("pos", "diamond", "bot", "graded")
+BOUNDS = range(5)
+SEEDS = (1, 2, 3)
+
+
+def commands(workdir: Path) -> list[dict]:
+    """The command list; writes the ``explain`` structure files to ``workdir``.
+    An entry with a ``source`` evaluates the formula that the entry at that
+    index printed, and is skipped when it printed none."""
+    sys.dont_write_bytecode = True  # leave no cache next to the benchmark's sources
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import FORMULA, explain
+
+    fixtures = sorted(str(f) for f in (ROOT / "fixtures").glob("*.json"))
+    out = [
+        {"argv": ["distinguish", "--fragment", frag, "-k", str(k), left, right], "source": None}
+        for left in fixtures
+        for right in fixtures
+        for frag in FRAGMENTS
+        for k in BOUNDS
+    ]
+    for seed in SEEDS:
+        wl = explain(seed)
+        for name, data in wl.files.items():
+            (workdir / f"{seed}-{name}").write_text(json.dumps(data))
+        base = len(out)
+        for op in wl.ops:
+            argv = [str(workdir / f"{seed}-{a}") if a in wl.files else a for a in op.argv]
+            source = None if op.source is None else base + op.source
+            out.append({"argv": argv, "source": source, "formula": FORMULA})
+    return out
+
+
+def work(cmds: list[dict]) -> list:
+    """Run the commands in this process; one [exit code, stdout, stderr] each,
+    or None for a skipped one."""
+    import linspect
+    from linspect.cli import main
+
+    if Path(linspect.__file__).resolve().parents[1] != Path(os.environ["PYTHONPATH"]):
+        raise SystemExit(f"imported {linspect.__file__}, not the tree under test")
+    results: list = []
+    for cmd in cmds:
+        argv = cmd["argv"]
+        if cmd["source"] is not None:
+            src = results[cmd["source"]]
+            if src is None or src[0] != 1:  # "equivalent", or an error
+                results.append(None)
+                continue
+            argv = [src[1].strip() if a == cmd["formula"] else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        results.append([rc, out.getvalue(), err.getvalue()])
+    return results
+
+
+def run_tree(src: Path, cmds: list[dict]) -> list:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker"],
+        input=json.dumps(cmds),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:] == ["--worker"]:
+        print(json.dumps(work(json.load(sys.stdin))))
+        return 0
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("old", type=Path, help="the src/ directory of the old tree")
+    parser.add_argument("new", type=Path, help="the src/ directory of the new tree")
+    args = parser.parse_args(argv)
+    for src in (args.old, args.new):
+        if not (src / "linspect" / "cli.py").is_file():
+            parser.error(f"{src} holds no linspect package")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = commands(Path(tmp))
+        old, new = (run_tree(src.resolve(), cmds) for src in (args.old, args.new))
+    for cmd, x, y in zip(cmds, old, new):
+        if x == y:
+            continue
+        print("differs: linspect " + " ".join(cmd["argv"]))
+        if x is None or y is None:
+            print(f"  skipped on {'old' if x is None else 'new'} only")
+            return 1
+        for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
+            if u != v:
+                print(f"  {what}:\n    old {u!r}\n    new {v!r}")
+        return 1
+    print(f"same output on {len(cmds)} commands ({sum(r is None for r in old)} skipped)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

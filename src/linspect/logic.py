@@ -14,6 +14,12 @@ shared nodes.  Two evaluators read that DAG:
   explicit stack memoised by (node, state), so a deep formula on a long chain
   visits only the states it reaches.
 
+Graded synthesis does not build its candidates.  ``_graded_candidates``
+returns a plan of interned integer ids, each with its extension on the two
+structures' ``UnionModel``, its modal depth and the length of its text, all
+computed as the id is made; ``synth_distinguishing`` selects by these and
+builds formulas only for the separating candidates of the least length.
+
 Grammar (s-expressions):
 
     tt | ff | <name> | (not <name>) | (and f ...) | (or f ...)
@@ -240,7 +246,8 @@ DEADLOCK = Deadlock()
 
 def conj(items: Sequence[Formula]) -> Formula:
     """Conjunction, normalized: unit dropped, deduplicated, sorted, flattened
-    at width 0/1."""
+    at width 0/1.  ``_Plan.step`` computes this normal form's text length by
+    arithmetic, so a change here must change it too."""
     # first occurrences in order, so nodes with equal text keep a fixed order
     uniq = sorted(dict.fromkeys(f for f in items if f is not TT), key=render_formula)
     if not uniq:
@@ -352,7 +359,9 @@ def render_formula(f: Formula) -> str:
 
 
 def _render_node(f: Formula) -> str:
-    """The text of ``f`` from the cached text of its children."""
+    """The text of ``f`` from the cached text of its children.  ``_Plan``
+    computes these layouts' lengths by arithmetic, so a change here must
+    change it too."""
     if isinstance(f, Verum):
         return "tt"
     if isinstance(f, Falsum):
@@ -574,8 +583,10 @@ class UnionModel:
                     moving |= 1 << bit[e]
         self.every = (1 << size) - 1
         self.deadlock = self.every & ~moving
-        self._points = [offset[id(p.base)] + p.base.universe.index(p.point) for p in structures]
-        self._at_points = sum(1 << b for b in set(self._points))
+        # each structure's base offset and point bit, in order
+        self.offsets = [offset[id(p.base)] for p in structures]
+        self.points = [o + p.base.universe.index(p.point) for o, p in zip(self.offsets, structures)]
+        self._at_points = sum(1 << b for b in set(self.points))
         self._vectors: dict[int, tuple[bool, ...]] = {}  # masks share few vectors
 
     def at_least(self, action: str, body: int, n: int) -> int:
@@ -600,7 +611,7 @@ class UnionModel:
             key = mask & self._at_points
             vec = self._vectors.get(key)
             if vec is None:
-                vec = self._vectors[key] = tuple(bool(key >> b & 1) for b in self._points)
+                vec = self._vectors[key] = tuple(bool(key >> b & 1) for b in self.points)
             out.append(vec)
         return out
 
@@ -848,44 +859,193 @@ def _runs_of_trace(p: PointedStructure, trace) -> list[Run]:
     ]
 
 
-def _graded_candidates(p: PointedStructure, k: int) -> list[Formula]:
-    """Graded-fragment candidates from every run of ``p`` up to length k: the
-    run's graded trace formula, and its plain-diamond chain with the first
-    0 to len(run) transitions graded (=, >= or <= the raw successor count),
-    ending in the endpoint's literals alone or, below length k, together with
-    the endpoint's exact successor profile.  Each run's plain chain is built
-    once per end profile and each successor count once."""
-    build = _Builder(p)
-    fanout = {
-        (w, g): len(p.base.successors(w, g)) for w in p.base.universe for g in p.signature.actions
-    }
-    out: list[Formula] = []
-    for run in runs_upto(p, k):
-        out.append(build.trace(run, "Graded"))
-        n, states, actions = len(run), run.states, run.actions
-        counts = [fanout[(states[i], actions[i])] for i in range(n)]
-        ends: list[tuple[Formula, ...]] = [()]
-        if n < k:
-            ends.append(tuple(exact_count(g, fanout[(run.last, g)], TT) for g in p.signature.actions))
-        for extra in ends:
-            # chain[i] reads the run from state i on with plain diamonds
-            chain = [build.step(run.last, extra)]
+class _Plan:
+    """Candidate formulas as interned integer ids, decided without building
+    them.
+
+    An id names a recipe over child ids, interned by the recipe: ``("tt",)``,
+    ``("step", valuation, items)`` is the conjunction of a state's literals
+    with the items, ``("dia", action, body)`` and ``("gdia", cmp, count,
+    action, body)`` are diamonds and ``("exact", action, count, body)`` is
+    ``exact_count``.  Each id carries, computed as it is made, its extension
+    as a bitmask of ``model``, its modal depth and the length of its rendered
+    text.  ``node`` builds the formula of an id through ``_Builder.step``,
+    ``Dia``, ``GDia`` and ``exact_count``, so it is the node the recipe names.
+    """
+
+    def __init__(self, model: UnionModel) -> None:
+        self.model = model
+        self.ids: dict[tuple, int] = {}
+        self.recipe: list[tuple] = []
+        self.mask: list[int] = []
+        self.depth: list[int] = []
+        self.length: list[int] = []
+        # valuation -> (mask, text length, count) of its literals
+        self.literals: dict[frozenset[str], tuple[int, int, int]] = {}
+        self.home: dict[frozenset[str], tuple[_Builder, str]] = {}  # a state to build them at
+        self.built: dict[int, Formula] = {}
+        self.counted: dict[tuple[str, int, int], int] = {}  # at_least by its arguments
+        self.tt = self._add(("tt",), model.every, 0, 2)
+
+    def _add(self, key: tuple, mask: int, depth: int, length: int) -> int:
+        i = self.ids[key] = len(self.recipe)
+        self.recipe.append(key)
+        self.mask.append(mask)
+        self.depth.append(depth)
+        self.length.append(length)
+        return i
+
+    def at_least(self, action: str, body: int, n: int) -> int:
+        # bodies of different ids share few extensions
+        key = (action, self.mask[body], n)
+        mask = self.counted.get(key)
+        if mask is None:
+            mask = self.counted[key] = self.model.at_least(*key)
+        return mask
+
+    def valuation(self, build: _Builder, w: str) -> frozenset[str]:
+        """The valuation of ``w``, which keys the literals of ``w`` in steps."""
+        val = build.p.base.valuation(w)
+        if val not in self.literals:
+            mask, length, props = self.model.every, 0, build.p.signature.propositions
+            for x in props:
+                if x in val:
+                    mask &= self.model.holds.get(x, 0)
+                    length += len(x)
+                else:
+                    mask &= ~self.model.holds.get(x, 0)
+                    length += len(x) + 6  # "(not x)"
+            self.literals[val] = (mask, length, len(props))
+            self.home[val] = (build, w)
+        return val
+
+    def step(self, val: frozenset[str], items: tuple[int, ...]) -> int:
+        key = ("step", val, items)
+        i = self.ids.get(key)
+        if i is None:
+            mask, total, parts = self.literals[val]
+            depth = 0
+            for j in items:
+                mask &= self.mask[j]
+                total += self.length[j]
+                depth = max(depth, self.depth[j])
+            parts += len(items)
+            # "tt", the one part, or "(and " + the parts spaced + ")"
+            length = 2 if parts == 0 else total if parts == 1 else total + parts + 5
+            i = self._add(key, mask, depth, length)
+        return i
+
+    def dia(self, action: str, body: int) -> int:
+        key = ("dia", action, body)
+        i = self.ids.get(key)
+        if i is None:
+            mask = self.at_least(action, body, 1)
+            i = self._add(key, mask, 1 + self.depth[body], 7 + len(action) + self.length[body])
+        return i
+
+    def gdia(self, cmp: str, count: int, action: str, body: int) -> int:
+        key = ("gdia", cmp, count, action, body)
+        i = self.ids.get(key)
+        if i is None:
+            if cmp == ">=":
+                mask = self.at_least(action, body, count)
+            else:
+                mask = self.model.every & ~self.at_least(action, body, count + 1)
+            length = 12 + len(str(count)) + len(action) + self.length[body]
+            i = self._add(key, mask, 1 + self.depth[body], length)
+        return i
+
+    def exact(self, action: str, count: int, body: int) -> int:
+        key = ("exact", action, count, body)
+        i = self.ids.get(key)
+        if i is None:
+            ge, le = self.gdia(">=", count, action, body), self.gdia("<=", count, action, body)
+            length = self.length[ge] + self.length[le] + 7
+            i = self._add(key, self.mask[ge] & self.mask[le], self.depth[ge], length)
+        return i
+
+    def node(self, i: int) -> Formula:
+        """The formula of id ``i``, children built first, without recursion."""
+        built, stack = self.built, [i]
+        while stack:
+            j = stack[-1]
+            if j in built:
+                stack.pop()
+                continue
+            kind, *args = self.recipe[j]
+            kids = args[1] if kind == "step" else args[-1:]
+            missing = [c for c in kids if c not in built]
+            if missing:
+                stack.extend(missing)
+                continue
+            if kind == "tt":
+                built[j] = TT
+            elif kind == "step":
+                build, w = self.home[args[0]]
+                built[j] = build.step(w, tuple(built[c] for c in kids))
+            elif kind == "dia":
+                built[j] = Dia(args[0], built[args[1]])
+            elif kind == "gdia":
+                built[j] = GDia(*args[:3], built[args[3]])
+            else:
+                built[j] = exact_count(args[0], args[1], built[args[2]])
+            stack.pop()
+        return built[i]
+
+
+def _graded_candidates(
+    structures: Sequence[PointedStructure], k: int
+) -> tuple[_Plan, list[int]]:
+    """The plan of the graded-fragment candidates read off every run up to
+    length k of each structure in turn, and the distinct candidate ids in
+    order of first appearance.  Per run: its graded trace formula, and its
+    plain-diamond chain with the first 0 to len(run) transitions graded (=,
+    >= or <= the raw successor count), ending in the endpoint's literals
+    alone or, below length k, together with the endpoint's exact successor
+    profile.  A graded trace count is the number of successors in the
+    body's extension."""
+    model = UnionModel(structures)
+    plan = _Plan(model)
+    candidates: list[int] = []
+    for p, offset in zip(structures, model.offsets):
+        s, actions = p.base, p.signature.actions
+        bit = {e: offset + i for i, e in enumerate(s.universe)}
+        succ = {
+            (w, g): sum(1 << bit[v] for v in s.successors(w, g)) for w in s.universe for g in actions
+        }
+        build = _Builder(p)
+        val = {w: plan.valuation(build, w) for w in s.universe}
+        for run in runs_upto(p, k):
+            n, states, acts = len(run), run.states, run.actions
+            body = plan.step(val[run.last], ())
             for i in range(n - 1, -1, -1):
-                chain.append(build.step(states[i], (Dia(actions[i], chain[-1]),)))
-            chain.reverse()
-            out.append(chain[0])
-            # grade the first `levels` transitions on top of the chain
-            for mode in ("=", ">=", "<="):
-                for levels in range(1, n + 1):
-                    body = chain[levels]
-                    for i in range(levels - 1, -1, -1):
-                        if mode == "=":
-                            node = exact_count(actions[i], counts[i], body)
-                        else:
-                            node = GDia(mode, counts[i], actions[i], body)
-                        body = build.step(states[i], (node,))
-                    out.append(body)
-    return out
+                m = (succ[(states[i], acts[i])] & plan.mask[body]).bit_count()
+                body = plan.step(val[states[i]], (plan.exact(acts[i], m, body),))
+            candidates.append(body)
+            counts = [succ[(states[i], acts[i])].bit_count() for i in range(n)]
+            ends: list[tuple[int, ...]] = [()]
+            if n < k:
+                profile = (plan.exact(g, succ[(run.last, g)].bit_count(), plan.tt) for g in actions)
+                ends.append(tuple(profile))
+            for extra in ends:
+                # chain[i] reads the run from state i on with plain diamonds
+                chain = [plan.step(val[run.last], extra)]
+                for i in range(n - 1, -1, -1):
+                    chain.append(plan.step(val[states[i]], (plan.dia(acts[i], chain[-1]),)))
+                chain.reverse()
+                candidates.append(chain[0])
+                # grade the first `levels` transitions on top of the chain
+                for mode in ("=", ">=", "<="):
+                    for levels in range(1, n + 1):
+                        body = chain[levels]
+                        for i in range(levels - 1, -1, -1):
+                            if mode == "=":
+                                node = plan.exact(acts[i], counts[i], body)
+                            else:
+                                node = plan.gdia(mode, counts[i], acts[i], body)
+                            body = plan.step(val[states[i]], (node,))
+                        candidates.append(body)
+    return plan, list(dict.fromkeys(candidates))
 
 
 def synth_distinguishing(
@@ -900,9 +1060,12 @@ def synth_distinguishing(
     Graded the ``_graded_candidates`` of both sides.  Of the distinct
     candidates no deeper than k, ordered by ``(len(text), text)``, the first
     that separates the pair and holds on the holder wins, else the first that
-    separates it.  Graded candidates are decided in one ``truth_vectors``
-    pass before sorting, so only the separating ones are sorted; the few
-    others are sorted and evaluated by ``eval_formula`` until one wins.
+    separates it.  The few non-graded candidates are sorted and evaluated by
+    ``eval_formula`` until one wins.  Graded candidates are decided as a
+    plan, without formulas: each id's extension mask gives its values at the
+    two points and its text length is known by arithmetic, so only the
+    winning pool's candidates of the least length are built, and the least
+    text among them is returned.
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
@@ -926,8 +1089,21 @@ def synth_distinguishing(
     other = b if side == "left" else a
     witness = verdict.witness
 
-    candidates: list[Formula] = []
-    if fragment in ("DiamondPos", "Diamond", "DeadlockDiamond"):
+    if fragment == "Graded":
+        # formulas derived from every run of either structure; the runs of
+        # the witness (no longer than k) are among the holder's
+        plan, ids = _graded_candidates([holder, other], k)
+        at_holder, at_other = plan.model.points
+        mask, length = plan.mask, plan.length
+        separating = [
+            i for i in ids if (mask[i] >> at_holder ^ mask[i] >> at_other) & 1 and plan.depth[i] <= k
+        ]
+        pool = [i for i in separating if mask[i] >> at_holder & 1] or separating
+        if pool:
+            least = min(length[i] for i in pool)
+            return min((plan.node(i) for i in pool if length[i] == least), key=render_formula)
+    else:
+        candidates: list[Formula] = []
         for run in _runs_of_trace(holder, witness):
             if witness.complete and not holder.base.is_terminal(run.last):
                 continue
@@ -937,33 +1113,22 @@ def synth_distinguishing(
                 candidates.append(synth_trace_formula(holder, run, "Diamond"))
             else:
                 candidates.append(synth_trace_formula(holder, run, fragment))
-    else:
-        # formulas derived from every run of either structure; the runs of
-        # the witness (no longer than k) are among the holder's
-        candidates = _graded_candidates(holder, k) + _graded_candidates(other, k)
 
-    def by_text(f: Formula) -> tuple[int, str]:
-        text = render_formula(f)
-        return (len(text), text)
+        def by_text(f: Formula) -> tuple[int, str]:
+            text = render_formula(f)
+            return (len(text), text)
 
-    unique = list(dict.fromkeys(candidates))
-    if fragment == "Graded":  # decided at once; only the separating ones are sorted
-        values = truth_vectors(unique, [a, b])
-        decided = sorted(
-            ((f, v) for f, v in zip(unique, values) if v[0] != v[1]), key=lambda fv: by_text(fv[0])
-        )
-    else:  # few candidates, evaluated until one wins
-        decided = ((f, (eval_formula(f, a), eval_formula(f, b))) for f in sorted(unique, key=by_text))
-    fallback = None
-    for f, (va, vb) in decided:
-        if va != vb and modal_depth(f) <= k:
-            holder_value = va if side == "left" else vb
-            if holder_value:
-                return f
-            if fallback is None:
-                fallback = f
-    if fallback is not None:
-        return fallback
+        # few candidates, evaluated until one wins
+        fallback = None
+        for f in sorted(dict.fromkeys(candidates), key=by_text):
+            va, vb = eval_formula(f, a), eval_formula(f, b)
+            if va != vb and modal_depth(f) <= k:
+                if va if side == "left" else vb:
+                    return f
+                if fallback is None:
+                    fallback = f
+        if fallback is not None:
+            return fallback
     raise LookupError(
         f"{rel} fails at bound {k} but no {fragment} candidate separates the pair"
     )

@@ -37,6 +37,7 @@ from linspect.logic import (
     synth_trace_formula,
     truth_vectors,
     _NODES,
+    _graded_candidates,
 )
 from linspect.oracle import _enumerate_deadlock_formulas, gen_pointed, suite_signature
 from linspect.structures import PointedStructure, Signature, Structure
@@ -639,11 +640,44 @@ class TestSynthDistinguishingAgreesWithReference:
     def test_same_node_for_every_fragment(self, pair):
         a, b = pair
         for fragment in ("DiamondPos", "Diamond", "DeadlockDiamond", "Graded"):
-            for k in (1, 2, 3):
+            for k in (0, 1, 2, 3):
                 for x, y in ((a, b), (b, a)):
                     assert synth_distinguishing(x, y, k, fragment) is _ref_synth_distinguishing(
                         x, y, k, fragment
                     ), (fragment, k)
+
+    def test_two_points_of_one_structure(self):
+        # the union model counts the shared base once, at one offset
+        sig = suite_signature(n_props=2)
+        s = gen_pointed(sig, 5, random.Random(7)).base
+        pairs = [(PointedStructure(s, x), PointedStructure(s, y)) for x in s.universe for y in s.universe]
+        separated = 0
+        for fragment in ("DiamondPos", "Diamond", "DeadlockDiamond", "Graded"):
+            for k in (0, 1, 2, 3):
+                for a, b in pairs:
+                    f = synth_distinguishing(a, b, k, fragment)
+                    assert f is _ref_synth_distinguishing(a, b, k, fragment), (fragment, k, a.point, b.point)
+                    separated += f is not None
+        assert separated > 0
+
+
+class TestGradedPlan:
+    """Each id of the graded candidate plan names the node it builds: the
+    node's text length, modal depth and values at the two points are the
+    ones the plan computed without it."""
+
+    @given(synthesis_pairs(), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_id_matches_its_node(self, pair, k):
+        a, b = pair
+        plan, roots = _graded_candidates([a, b], k)
+        assert set(roots) <= set(range(len(plan.recipe)))
+        nodes = [plan.node(i) for i in range(len(plan.recipe))]
+        at_a, at_b = plan.model.points
+        for i, (node, values) in enumerate(zip(nodes, truth_vectors(nodes, [a, b]))):
+            assert len(render_formula(node)) == plan.length[i], plan.recipe[i]
+            assert modal_depth(node) == plan.depth[i], plan.recipe[i]
+            assert values == (bool(plan.mask[i] >> at_a & 1), bool(plan.mask[i] >> at_b & 1)), plan.recipe[i]
 
 
 class TestPreservation:
