@@ -9,8 +9,10 @@ compares every command's stdout, stderr and exit code.  The list is
 ``distinguish`` on every ordered pair of the files under ``fixtures/``, under
 each of the four fragments at k 0-4, then every operation of the benchmark's
 ``explain`` workload at seeds 1-3, in order, each ``eval`` given the formula
-that its ``distinguish`` printed on the same tree.  Prints the first
-difference and exits 1, or the number of commands compared and exits 0.
+that its ``distinguish`` printed on the same tree, then the ``verify`` reports
+of the suites that read synthesized formulas (thm61 at size 5, k 4; cor74 at
+size 3, k 1 and 2) at seeds 1-3.  Prints the first difference and exits 1,
+or the number of commands compared and exits 0.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FRAGMENTS = ("pos", "diamond", "bot", "graded")
 BOUNDS = range(5)
 SEEDS = (1, 2, 3)
+# (suite, size, k) of each verify report compared
+SUITES = (("thm61", 5, 4), ("cor74", 3, 1), ("cor74", 3, 2))
 
 
 def commands(workdir: Path) -> list[dict]:
@@ -56,6 +60,12 @@ def commands(workdir: Path) -> list[dict]:
             argv = [str(workdir / f"{seed}-{a}") if a in wl.files else a for a in op.argv]
             source = None if op.source is None else base + op.source
             out.append({"argv": argv, "source": source, "formula": FORMULA})
+    out += [
+        {"argv": ["verify", "--suite", suite, "--size", str(size), "-k", str(k), "--seed", str(seed)],
+         "source": None}
+        for suite, size, k in SUITES
+        for seed in SEEDS
+    ]
     return out
 
 

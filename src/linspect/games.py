@@ -417,6 +417,8 @@ def solve_bisim(a: PointedStructure, b: PointedStructure, k: int) -> GameResult:
     """
     if a.signature != b.signature:
         raise SignatureMismatch("bisimulation requires matching signatures")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     cap = len(a.base.universe) + len(b.base.universe)
 
     def labels_agree(pos: tuple) -> bool:
@@ -508,6 +510,8 @@ def solve_ppeb(a: Structure, b: Structure, k: int, n: int) -> GameResult:
         raise SignatureMismatch("the pebble game requires matching signatures")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n < 0:
+        raise ValueError("len must be >= 0")
     # after i placements there are at most (k m)^i placement sequences and
     # (m + 1)^k assignments, m = |A| |B|; expanding a position visits 2 k m
     m = len(a.universe) * len(b.universe)

@@ -14,11 +14,13 @@ shared nodes.  Two evaluators read that DAG:
   explicit stack memoised by (node, state), so a deep formula on a long chain
   visits only the states it reaches.
 
-Graded synthesis does not build its candidates.  ``_graded_candidates``
-returns a plan of interned integer ids, each with its extension on the two
-structures' ``UnionModel``, its modal depth and the length of its text, all
-computed as the id is made; ``synth_distinguishing`` selects by these and
-builds formulas only for the separating candidates of the least length.
+Every formula read off runs, in every synthesis fragment, is first an
+interned integer id of a ``_Plan``, with its extension on the structures'
+``UnionModel``, its modal depth and the length of its text, all computed as
+the id is made.  ``synth_trace_formula`` and ``synth_characteristic`` build
+the nodes of their ids; ``synth_distinguishing`` selects among candidate ids
+by these values and builds formulas only for the separating candidates of
+the least length.
 
 Grammar (s-expressions):
 
@@ -247,7 +249,8 @@ DEADLOCK = Deadlock()
 def conj(items: Sequence[Formula]) -> Formula:
     """Conjunction, normalized: unit dropped, deduplicated, sorted, flattened
     at width 0/1.  ``_Plan.step`` computes this normal form's text length by
-    arithmetic, so a change here must change it too."""
+    arithmetic for the formulas of every synthesis fragment, so a change here
+    must change it too."""
     # first occurrences in order, so nodes with equal text keep a fixed order
     uniq = sorted(dict.fromkeys(f for f in items if f is not TT), key=render_formula)
     if not uniq:
@@ -360,8 +363,9 @@ def render_formula(f: Formula) -> str:
 
 def _render_node(f: Formula) -> str:
     """The text of ``f`` from the cached text of its children.  ``_Plan``
-    computes these layouts' lengths by arithmetic, so a change here must
-    change it too."""
+    computes the lengths of the layouts that synthesis uses (literals,
+    conjunctions, diamonds, graded diamonds and the deadlock marker) by
+    arithmetic, so a change here must change it too."""
     if isinstance(f, Verum):
         return "tt"
     if isinstance(f, Falsum):
@@ -498,20 +502,16 @@ _FOLDS = {
 }
 
 
-def _holds_at(
-    f: Formula, s: Structure, w: str, memo: Optional[dict[tuple[Formula, str], bool]] = None
-) -> bool:
+def _holds_at(f: Formula, s: Structure, w: str) -> bool:
     """Does ``f`` hold at ``w``: evaluated locally from ``w`` with an explicit
-    stack, each (node, state) with subformulas decided once; callers that ask
-    many questions of one structure share ``memo`` between them.
+    stack, each (node, state) with subformulas decided once.
 
     A frame is [query, its (subformula, state) queries, the value it counts,
     how many of those decide it, its value once decided]; it takes the
     opposite value when its queries run out first, so it stops at the first
     value that decides it.  The bottom frame asks (f, w) alone.
     """
-    if memo is None:
-        memo = {}
+    memo: dict[tuple[Formula, str], bool] = {}
     stack = [[None, iter(((f, w),)), True, 1, True]]
     done: Optional[bool] = None  # the value of the frame closed last
     while True:
@@ -754,53 +754,6 @@ def classify(f: Formula) -> ClassifyResult:
 SYNTH_FRAGMENTS = ("DiamondPos", "Diamond", "DeadlockDiamond", "Graded")
 
 
-class _Builder:
-    """Builds the formulas read off the runs of one structure, from the last
-    state back, and shares their parts: each state's literals (negated ones
-    too unless ``positive``), each conjunction of a state's literals with
-    further items, and the (node, state) values that graded counts ask for.
-    """
-
-    def __init__(self, p: PointedStructure, positive: bool = False) -> None:
-        self.p = p
-        self.positive = positive
-        self.literals: dict[str, list[Formula]] = {}
-        self.steps: dict[tuple[str, tuple[Formula, ...]], Formula] = {}
-        self.memo: dict[tuple[Formula, str], bool] = {}  # for _holds_at on p
-
-    def step(self, w: str, items: tuple[Formula, ...]) -> Formula:
-        """The conjunction of the literals of ``w`` with the items."""
-        node = self.steps.get((w, items))
-        if node is None:
-            lits = self.literals.get(w)
-            if lits is None:
-                val = self.p.base.valuation(w)
-                lits = [Prop(x) for x in sorted(val)]
-                if not self.positive:
-                    lits += [NegProp(x) for x in sorted(set(self.p.signature.propositions) - val)]
-                self.literals[w] = lits
-            node = self.steps[(w, items)] = conj(lits + list(items))
-        return node
-
-    def trace(self, run: Run, fragment: str) -> Formula:
-        """``synth_trace_formula`` of the run."""
-        s = self.p.base
-        body = self.step(
-            run.last,
-            (DEADLOCK,) if fragment == "DeadlockDiamond" and s.is_terminal(run.last) else (),
-        )
-        for i in range(len(run) - 1, -1, -1):
-            w, action = run.states[i], run.actions[i]
-            if fragment == "Graded":
-                # the exact number of successors that continue this way; raw
-                # successor counts would not be satisfied by the source itself
-                m = sum(1 for v in s.successors(w, action) if _holds_at(body, s, v, self.memo))
-                body = self.step(w, (exact_count(action, m, body),))
-            else:
-                body = self.step(w, (Dia(action, body),))
-        return body
-
-
 def synth_trace_formula(
     p: PointedStructure, run: Run, fragment: str
 ) -> Formula:
@@ -812,15 +765,16 @@ def synth_trace_formula(
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
-    return _Builder(p, fragment == "DiamondPos").trace(run, fragment)
+    plan = _Plan([p])
+    return plan.node(plan.trace(0, run, fragment))
 
 
 def synth_characteristic(p: PointedStructure, k: int, fragment: str) -> Formula:
     """Conjunction of per-run formulas over all runs of length <= k."""
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
-    build = _Builder(p, fragment == "DiamondPos")
-    return conj([build.trace(run, fragment) for run in runs_upto(p, k)])
+    plan = _Plan([p])
+    return conj([plan.node(plan.trace(0, run, fragment)) for run in runs_upto(p, k)])
 
 
 def synth_ready_formula(rt: ReadyTrace, actions: Optional[Sequence[str]] = None) -> Formula:
@@ -860,32 +814,40 @@ def _runs_of_trace(p: PointedStructure, trace) -> list[Run]:
 
 
 class _Plan:
-    """Candidate formulas as interned integer ids, decided without building
-    them.
+    """Formulas read off the runs of some structures, as interned integer ids
+    decided without building them.
 
-    An id names a recipe over child ids, interned by the recipe: ``("tt",)``,
-    ``("step", valuation, items)`` is the conjunction of a state's literals
-    with the items, ``("dia", action, body)`` and ``("gdia", cmp, count,
-    action, body)`` are diamonds and ``("exact", action, count, body)`` is
+    An id names a recipe over child ids, interned by the recipe: ``("tt",)``
+    and ``("deadlock",)``; ``("step", literals, items)``, the conjunction of
+    a state's literal set with the items, where a literal set is interned by
+    the state's (valuation, positive) and leaves out negated literals when
+    positive; ``("dia", action, body)`` and ``("gdia", cmp, count, action,
+    body)``, the diamonds; and ``("exact", action, count, body)``,
     ``exact_count``.  Each id carries, computed as it is made, its extension
-    as a bitmask of ``model``, its modal depth and the length of its rendered
-    text.  ``node`` builds the formula of an id through ``_Builder.step``,
-    ``Dia``, ``GDia`` and ``exact_count``, so it is the node the recipe names.
+    as a bitmask of ``model``, the structures' ``UnionModel``, its modal
+    depth and the length of its rendered text.  ``node`` builds the formula
+    of an id, literals through ``conj`` and the rest through ``Dia``,
+    ``GDia`` and ``exact_count``, so it is the node the recipe names.
     """
 
-    def __init__(self, model: UnionModel) -> None:
-        self.model = model
+    def __init__(self, structures: Sequence[PointedStructure]) -> None:
+        self.structures = structures
+        self.model = model = UnionModel(structures)
         self.ids: dict[tuple, int] = {}
         self.recipe: list[tuple] = []
         self.mask: list[int] = []
         self.depth: list[int] = []
         self.length: list[int] = []
-        # valuation -> (mask, text length, count) of its literals
-        self.literals: dict[frozenset[str], tuple[int, int, int]] = {}
-        self.home: dict[frozenset[str], tuple[_Builder, str]] = {}  # a state to build them at
+        # literal sets, interned by (valuation, positive): each one's (mask,
+        # text length, count, valuation, positive, propositions)
+        self.literal_ids: dict[tuple[frozenset[str], bool], int] = {}
+        self.literal: list[tuple] = []
+        self.state_literals: dict[tuple[int, bool], dict[str, int]] = {}
+        self.succ: list[Optional[dict[tuple[str, str], int]]] = [None] * len(structures)
         self.built: dict[int, Formula] = {}
         self.counted: dict[tuple[str, int, int], int] = {}  # at_least by its arguments
         self.tt = self._add(("tt",), model.every, 0, 2)
+        self.deadlock = self._add(("deadlock",), model.deadlock, 1, 10)
 
     def _add(self, key: tuple, mask: int, depth: int, length: int) -> int:
         i = self.ids[key] = len(self.recipe)
@@ -903,27 +865,51 @@ class _Plan:
             mask = self.counted[key] = self.model.at_least(*key)
         return mask
 
-    def valuation(self, build: _Builder, w: str) -> frozenset[str]:
-        """The valuation of ``w``, which keys the literals of ``w`` in steps."""
-        val = build.p.base.valuation(w)
-        if val not in self.literals:
-            mask, length, props = self.model.every, 0, build.p.signature.propositions
-            for x in props:
-                if x in val:
-                    mask &= self.model.holds.get(x, 0)
-                    length += len(x)
-                else:
-                    mask &= ~self.model.holds.get(x, 0)
-                    length += len(x) + 6  # "(not x)"
-            self.literals[val] = (mask, length, len(props))
-            self.home[val] = (build, w)
-        return val
+    def successors(self, i: int) -> dict[tuple[str, str], int]:
+        """The successor masks of structure ``i``, by (state, action)."""
+        succ = self.succ[i]
+        if succ is None:
+            p, offset = self.structures[i], self.model.offsets[i]
+            bit = {e: offset + n for n, e in enumerate(p.base.universe)}
+            succ = self.succ[i] = {
+                (w, g): sum(1 << bit[v] for v in p.base.successors(w, g))
+                for w in p.base.universe
+                for g in p.signature.actions
+            }
+        return succ
 
-    def step(self, val: frozenset[str], items: tuple[int, ...]) -> int:
-        key = ("step", val, items)
+    def literals(self, i: int, positive: bool) -> dict[str, int]:
+        """Each state of structure ``i`` -> its literal set, negated literals
+        left out when ``positive``."""
+        lits = self.state_literals.get((i, positive))
+        if lits is None:
+            p, holds = self.structures[i], self.model.holds
+            lits = self.state_literals[i, positive] = {}
+            for w in p.base.universe:
+                key = (p.base.valuation(w), positive)
+                if key not in self.literal_ids:
+                    val, props = key[0], p.signature.propositions
+                    mask, length, count = self.model.every, 0, 0
+                    for x in props:
+                        if x in val:
+                            mask &= holds.get(x, 0)
+                            length += len(x)
+                        elif positive:
+                            continue
+                        else:
+                            mask &= ~holds.get(x, 0)
+                            length += len(x) + 6  # "(not x)"
+                        count += 1
+                    self.literal_ids[key] = len(self.literal)
+                    self.literal.append((mask, length, count, val, positive, props))
+                lits[w] = self.literal_ids[key]
+        return lits
+
+    def step(self, lits: int, items: tuple[int, ...]) -> int:
+        key = ("step", lits, items)
         i = self.ids.get(key)
         if i is None:
-            mask, total, parts = self.literals[val]
+            mask, total, parts = self.literal[lits][:3]
             depth = 0
             for j in items:
                 mask &= self.mask[j]
@@ -964,6 +950,26 @@ class _Plan:
             i = self._add(key, self.mask[ge] & self.mask[le], self.depth[ge], length)
         return i
 
+    def trace(self, i: int, run: Run, fragment: str) -> int:
+        """The id of ``synth_trace_formula`` of a run of structure ``i``, read
+        from the last state back.  A graded count is the number of successors
+        in the body's extension; raw successor counts would not be satisfied
+        by the source itself."""
+        lits = self.literals(i, fragment == "DiamondPos")
+        end: tuple[int, ...] = ()
+        if fragment == "DeadlockDiamond" and self.structures[i].base.is_terminal(run.last):
+            end = (self.deadlock,)
+        body = self.step(lits[run.last], end)
+        succ = self.successors(i) if fragment == "Graded" else None
+        for j in range(len(run) - 1, -1, -1):
+            w, action = run.states[j], run.actions[j]
+            if succ is None:
+                item = self.dia(action, body)
+            else:
+                item = self.exact(action, (succ[w, action] & self.mask[body]).bit_count(), body)
+            body = self.step(lits[w], (item,))
+        return body
+
     def node(self, i: int) -> Formula:
         """The formula of id ``i``, children built first, without recursion."""
         built, stack = self.built, [i]
@@ -980,9 +986,14 @@ class _Plan:
                 continue
             if kind == "tt":
                 built[j] = TT
+            elif kind == "deadlock":
+                built[j] = DEADLOCK
             elif kind == "step":
-                build, w = self.home[args[0]]
-                built[j] = build.step(w, tuple(built[c] for c in kids))
+                val, positive, props = self.literal[args[0]][3:]
+                lits = [Prop(x) for x in sorted(val)]
+                if not positive:
+                    lits += [NegProp(x) for x in sorted(set(props) - val)]
+                built[j] = conj(lits + [built[c] for c in kids])
             elif kind == "dia":
                 built[j] = Dia(args[0], built[args[1]])
             elif kind == "gdia":
@@ -1002,26 +1013,14 @@ def _graded_candidates(
     plain-diamond chain with the first 0 to len(run) transitions graded (=,
     >= or <= the raw successor count), ending in the endpoint's literals
     alone or, below length k, together with the endpoint's exact successor
-    profile.  A graded trace count is the number of successors in the
-    body's extension."""
-    model = UnionModel(structures)
-    plan = _Plan(model)
+    profile."""
+    plan = _Plan(structures)
     candidates: list[int] = []
-    for p, offset in zip(structures, model.offsets):
-        s, actions = p.base, p.signature.actions
-        bit = {e: offset + i for i, e in enumerate(s.universe)}
-        succ = {
-            (w, g): sum(1 << bit[v] for v in s.successors(w, g)) for w in s.universe for g in actions
-        }
-        build = _Builder(p)
-        val = {w: plan.valuation(build, w) for w in s.universe}
+    for j, p in enumerate(structures):
+        actions, succ, val = p.signature.actions, plan.successors(j), plan.literals(j, False)
         for run in runs_upto(p, k):
             n, states, acts = len(run), run.states, run.actions
-            body = plan.step(val[run.last], ())
-            for i in range(n - 1, -1, -1):
-                m = (succ[(states[i], acts[i])] & plan.mask[body]).bit_count()
-                body = plan.step(val[states[i]], (plan.exact(acts[i], m, body),))
-            candidates.append(body)
+            candidates.append(plan.trace(j, run, "Graded"))
             counts = [succ[(states[i], acts[i])].bit_count() for i in range(n)]
             ends: list[tuple[int, ...]] = [()]
             if n < k:
@@ -1057,15 +1056,14 @@ def synth_distinguishing(
 
     The side with the failing relation's witness is the holder.  Candidates
     are the trace formulas of the holder's runs of the witness trace, or for
-    Graded the ``_graded_candidates`` of both sides.  Of the distinct
-    candidates no deeper than k, ordered by ``(len(text), text)``, the first
-    that separates the pair and holds on the holder wins, else the first that
-    separates it.  The few non-graded candidates are sorted and evaluated by
-    ``eval_formula`` until one wins.  Graded candidates are decided as a
-    plan, without formulas: each id's extension mask gives its values at the
-    two points and its text length is known by arithmetic, so only the
-    winning pool's candidates of the least length are built, and the least
-    text among them is returned.
+    Graded the ``_graded_candidates`` of both sides, all as ids of one
+    ``_Plan`` over the holder and the other side.  Of the distinct candidates
+    no deeper than k, ordered by ``(len(text), text)``, the first that
+    separates the pair and holds on the holder wins, else the first that
+    separates it.  Each id's extension mask gives its values at the two
+    points and its text length is known by arithmetic, so only the winning
+    pool's candidates of the least length are built, and the least text
+    among them is returned.
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
@@ -1085,50 +1083,30 @@ def synth_distinguishing(
             return None
         side = verdict.witness_side
 
-    holder = a if side == "left" else b
-    other = b if side == "left" else a
+    holder, other = (a, b) if side == "left" else (b, a)
     witness = verdict.witness
-
     if fragment == "Graded":
         # formulas derived from every run of either structure; the runs of
         # the witness (no longer than k) are among the holder's
         plan, ids = _graded_candidates([holder, other], k)
-        at_holder, at_other = plan.model.points
-        mask, length = plan.mask, plan.length
-        separating = [
-            i for i in ids if (mask[i] >> at_holder ^ mask[i] >> at_other) & 1 and plan.depth[i] <= k
-        ]
-        pool = [i for i in separating if mask[i] >> at_holder & 1] or separating
-        if pool:
-            least = min(length[i] for i in pool)
-            return min((plan.node(i) for i in pool if length[i] == least), key=render_formula)
     else:
-        candidates: list[Formula] = []
+        # a labelled-trace failure needs no terminal marker, which may not
+        # fit the depth budget
+        partial = fragment == "DeadlockDiamond" and not witness.complete
+        plan, ids = _Plan([holder, other]), []
         for run in _runs_of_trace(holder, witness):
             if witness.complete and not holder.base.is_terminal(run.last):
                 continue
-            if fragment == "DeadlockDiamond" and not witness.complete:
-                # a labelled-trace failure: the terminal marker is not needed
-                # and may not fit the depth budget
-                candidates.append(synth_trace_formula(holder, run, "Diamond"))
-            else:
-                candidates.append(synth_trace_formula(holder, run, fragment))
-
-        def by_text(f: Formula) -> tuple[int, str]:
-            text = render_formula(f)
-            return (len(text), text)
-
-        # few candidates, evaluated until one wins
-        fallback = None
-        for f in sorted(dict.fromkeys(candidates), key=by_text):
-            va, vb = eval_formula(f, a), eval_formula(f, b)
-            if va != vb and modal_depth(f) <= k:
-                if va if side == "left" else vb:
-                    return f
-                if fallback is None:
-                    fallback = f
-        if fallback is not None:
-            return fallback
+            ids.append(plan.trace(0, run, "Diamond" if partial else fragment))
+    at_holder, at_other = plan.model.points
+    mask, length = plan.mask, plan.length
+    separating = [
+        i for i in ids if (mask[i] >> at_holder ^ mask[i] >> at_other) & 1 and plan.depth[i] <= k
+    ]
+    pool = [i for i in separating if mask[i] >> at_holder & 1] or separating
+    if pool:
+        least = min(length[i] for i in pool)
+        return min((plan.node(i) for i in pool if length[i] == least), key=render_formula)
     raise LookupError(
         f"{rel} fails at bound {k} but no {fragment} candidate separates the pair"
     )

@@ -58,12 +58,11 @@ from .logic import (
     Or,
     Prop,
     UnionModel,
+    _Plan,
     conj,
-    eval_formula,
     modal_depth,
     render_formula,
     synth_characteristic,
-    synth_trace_formula,
     truth_vectors,
 )
 
@@ -282,15 +281,16 @@ class SuiteReport:
         return 0 if self.fail == 0 else 1
 
 
-def _transfer(a: PointedStructure, b: PointedStructure, k: int, fragment: str) -> bool:
-    """Does ``b`` satisfy the fragment's trace formula of every run of ``a`` up
-    to length k?  A formula deeper than k (a deadlock mark at depth k) falls
-    back to the Diamond one."""
-    for run in runs_upto(a, k):
-        f = synth_trace_formula(a, run, fragment)
-        if modal_depth(f) > k:
-            f = synth_trace_formula(a, run, "Diamond")
-        if not eval_formula(f, b):
+def _transfer(plan: _Plan, i: int, k: int, fragment: str) -> bool:
+    """Does the other structure of the two in ``plan`` satisfy the fragment's
+    trace formula of every run of structure ``i`` up to length k?  A formula
+    deeper than k (a deadlock mark at depth k) falls back to the Diamond one."""
+    there = plan.model.points[1 - i]
+    for run in runs_upto(plan.structures[i], k):
+        f = plan.trace(i, run, fragment)
+        if plan.depth[f] > k:
+            f = plan.trace(i, run, "Diamond")
+        if not plan.mask[f] >> there & 1:
             return False
     return True
 
@@ -324,17 +324,18 @@ def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> Sui
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
         ua, ub = ml_unravel(a, k)[0], ml_unravel(b, k)[0]
+        plan = _Plan([a, b])  # the trace formulas of both, shared by every item
         for label, kind, relation, fragment in THM61_ITEMS:
             directed = relation in ("tr", "ltr")
-            sides = [(label, a, b, ua, ub)]
+            sides = [(label, a, b, ua, ub, 0)]
             if directed:
-                sides.append((f"{label}-rev", b, a, ub, ua))
-            for name, p, q, up, uq in sides:
+                sides.append((f"{label}-rev", b, a, ub, ua, 1))
+            for name, p, q, up, uq, i in sides:
                 categorical = find_morphism(up, uq, kind) is not None
                 behavioural = check_trace_relation(relation, p, q, k).holds
-                logical = _transfer(p, q, k, fragment)
+                logical = _transfer(plan, i, k, fragment)
                 if not directed:
-                    logical = logical and _transfer(q, p, k, fragment)
+                    logical = logical and _transfer(plan, 1 - i, k, fragment)
                 if not categorical == behavioural == logical:
                     return (
                         f"{name}: categorical={categorical} behavioural={behavioural} "

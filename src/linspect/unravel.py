@@ -149,8 +149,10 @@ def _node_count(
     ``graft``, each run of length k also counts the elements that ``ml_graft``
     grafts onto its leaf: the part reachable from its end, less the end.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     level, count = {p.point: 1}, int(linear)
-    for i in range(max(k, 0) + 1):
+    for i in range(k + 1):
         following: dict[str, int] = {}
         ended = 0  # runs of length i that end in a terminal state
         for state, n in level.items():
@@ -442,6 +444,8 @@ def pr_unravel(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n < 0:
+        raise ValueError("len must be >= 0")
     arities = [arity for _, arity in s.signature.relations]
     steps, sequences = 0, 1
     for i in range(1, min(n, PR_STEP_BUDGET) + 1):  # each length adds at least i

@@ -358,6 +358,30 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "eval", "--formula", "(dia zz tt)", fx("fix4"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--rel", "bisim", "-k", "-1", fx("fix1"), fx("fix2")],
+            ["check", "--rel", "tr", "-k", "-1", fx("fix1"), fx("fix2")],
+            ["distinguish", "--fragment", "pos", "-k", "-1", fx("fix1"), fx("fix2")],
+            ["game", "--type", "bisim", "-k", "-3", fx("fix1"), fx("fix2")],
+            ["game", "--type", "ppeb", "--len", "-1", fx("chain2"), fx("chain3")],
+            ["game", "--type", "ef", "-r", "-1", fx("chain2"), fx("chain3")],
+            ["unravel", "--comonad", "ML", "-k", "-1", fx("fix1")],
+            ["unravel", "--comonad", "TREE", "-k", "-1", fx("fix1")],
+            ["unravel", "--comonad", "GRAFT", "-k", "-1", fx("fix1")],
+            ["unravel", "--comonad", "PR", "-k", "1", "--len", "-1", fx("loop")],
+            ["verify", "--suite", "prop84", "-k", "-1", "--samples", "2"],
+            ["verify", "--suite", "thm54", "--len", "-1", "--samples", "2"],
+            ["verify", "--suite", "lemma313", "-k", "-1", "--samples", "2"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+    )
+    def test_negative_bound_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_eval_needs_a_formula_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", fx("fix1")])

@@ -20,6 +20,7 @@ from linspect.logic import (
     NegProp,
     Or,
     Prop,
+    SYNTH_FRAGMENTS,
     TT,
     Verum,
     UnknownSymbol,
@@ -661,10 +662,30 @@ class TestSynthDistinguishingAgreesWithReference:
         assert separated > 0
 
 
-class TestGradedPlan:
-    """Each id of the graded candidate plan names the node it builds: the
-    node's text length, modal depth and values at the two points are the
-    ones the plan computed without it."""
+class TestTraceFormulasAgreeWithReference:
+    """``synth_trace_formula`` and ``synth_characteristic`` return the very
+    nodes that the reference builds, for every fragment."""
+
+    @given(synthesis_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_same_node_for_every_fragment(self, pair):
+        for p in pair:
+            runs = runs_upto(p, 3)
+            for fragment in SYNTH_FRAGMENTS:
+                expected = [_ref_trace_formula(p, run, fragment) for run in runs]
+                for run, f in zip(runs, expected):
+                    assert synth_trace_formula(p, run, fragment) is f, (fragment, run)
+                for k in (0, 1, 2, 3):
+                    upto = [f for run, f in zip(runs, expected) if len(run) <= k]
+                    assert synth_characteristic(p, k, fragment) is conj(upto), (fragment, k)
+
+
+class TestPlan:
+    """Each id of a formula plan names the node it builds: the node's text
+    length, modal depth and values at the two points are the ones the plan
+    computed without it.  The plan holds the graded candidates and then the
+    trace ids of every fragment, which bring in positive-only literals and
+    the deadlock recipe."""
 
     @given(synthesis_pairs(), st.integers(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)
@@ -672,6 +693,10 @@ class TestGradedPlan:
         a, b = pair
         plan, roots = _graded_candidates([a, b], k)
         assert set(roots) <= set(range(len(plan.recipe)))
+        for j, p in enumerate(pair):
+            for run in runs_upto(p, k):
+                for fragment in SYNTH_FRAGMENTS:
+                    plan.trace(j, run, fragment)
         nodes = [plan.node(i) for i in range(len(plan.recipe))]
         at_a, at_b = plan.model.points
         for i, (node, values) in enumerate(zip(nodes, truth_vectors(nodes, [a, b]))):
