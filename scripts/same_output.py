@@ -8,11 +8,15 @@ each in its own subprocess that imports ``linspect`` from that tree, and
 compares every command's stdout, stderr and exit code.  The list is
 ``distinguish`` on every ordered pair of the files under ``fixtures/``, under
 each of the four fragments at k 0-4, then every operation of the benchmark's
-``explain`` workload at seeds 1-3, in order, each ``eval`` given the formula
-that its ``distinguish`` printed on the same tree, then the ``verify`` reports
-of the suites that read synthesized formulas (thm61 at size 5, k 4; cor74 at
-size 3, k 1 and 2) at seeds 1-3.  Prints the first difference and exits 1,
-or the number of commands compared and exits 0.
+``explain``, ``decide`` and ``deep`` workloads at seeds 1-3, in order, each
+``eval`` given the formula that its ``distinguish`` printed on the same tree,
+then the ``verify`` reports of the suites that read synthesized formulas
+(thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) at seeds 1-3, then
+``check`` on malformed copies of ``fixtures/fix1.json`` (a duplicate element,
+an unknown relation, an arity mismatch, an unknown element, a point outside
+the universe, a missing field), whose error text must not change.  Prints
+the first difference and exits 1, or the number of commands compared and
+exits 0.
 """
 
 from __future__ import annotations
@@ -31,17 +35,32 @@ ROOT = Path(__file__).resolve().parent.parent
 FRAGMENTS = ("pos", "diamond", "bot", "graded")
 BOUNDS = range(5)
 SEEDS = (1, 2, 3)
+WORKLOAD_NAMES = ("explain", "decide", "deep")
 # (suite, size, k) of each verify report compared
 SUITES = (("thm61", 5, 4), ("cor74", 3, 1), ("cor74", 3, 2))
 
 
+def malformed(data: dict) -> dict[str, dict]:
+    """Copies of a structure file that each break one rule of the format."""
+    first = data["universe"][0]
+    out = {name: json.loads(json.dumps(data)) for name in
+           ("duplicate", "unknown-relation", "arity", "unknown-element", "point", "missing")}
+    out["duplicate"]["universe"].append(first)
+    out["unknown-relation"]["interp"]["zz"] = [[first]]
+    out["arity"]["interp"]["a"].append([first])
+    out["unknown-element"]["interp"]["a"].append([first, "nowhere"])
+    out["point"]["point"] = "nowhere"
+    del out["missing"]["universe"]
+    return out
+
+
 def commands(workdir: Path) -> list[dict]:
-    """The command list; writes the ``explain`` structure files to ``workdir``.
-    An entry with a ``source`` evaluates the formula that the entry at that
-    index printed, and is skipped when it printed none."""
+    """The command list; writes the workloads' and the malformed structure
+    files to ``workdir``.  An entry with a ``source`` evaluates the formula
+    that the entry at that index printed, and is skipped when it printed none."""
     sys.dont_write_bytecode = True  # leave no cache next to the benchmark's sources
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import FORMULA, explain
+    from workloads import FORMULA, WORKLOADS
 
     fixtures = sorted(str(f) for f in (ROOT / "fixtures").glob("*.json"))
     out = [
@@ -51,21 +70,27 @@ def commands(workdir: Path) -> list[dict]:
         for frag in FRAGMENTS
         for k in BOUNDS
     ]
-    for seed in SEEDS:
-        wl = explain(seed)
-        for name, data in wl.files.items():
-            (workdir / f"{seed}-{name}").write_text(json.dumps(data))
-        base = len(out)
-        for op in wl.ops:
-            argv = [str(workdir / f"{seed}-{a}") if a in wl.files else a for a in op.argv]
-            source = None if op.source is None else base + op.source
-            out.append({"argv": argv, "source": source, "formula": FORMULA})
+    for workload in WORKLOAD_NAMES:
+        for seed in SEEDS:
+            wl = WORKLOADS[workload](seed)
+            for name, data in wl.files.items():
+                (workdir / f"{seed}-{name}").write_text(json.dumps(data))
+            base = len(out)
+            for op in wl.ops:
+                argv = [str(workdir / f"{seed}-{a}") if a in wl.files else a for a in op.argv]
+                source = None if op.source is None else base + op.source
+                out.append({"argv": argv, "source": source, "formula": FORMULA})
     out += [
         {"argv": ["verify", "--suite", suite, "--size", str(size), "-k", str(k), "--seed", str(seed)],
          "source": None}
         for suite, size, k in SUITES
         for seed in SEEDS
     ]
+    fix1 = ROOT / "fixtures" / "fix1.json"
+    for name, data in malformed(json.loads(fix1.read_text())).items():
+        path = workdir / f"malformed-{name}.json"
+        path.write_text(json.dumps(data))
+        out.append({"argv": ["check", "--rel", "tr", "-k", "2", str(path), str(fix1)], "source": None})
     return out
 
 

@@ -764,6 +764,10 @@ def run_suite(
     """Run one verification suite; ``k`` doubles as the rank for lemma83."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if size < 1:
+        raise ValueError("size must be >= 1")
     return SUITES[name](size, k, samples, seed, length)
 
 

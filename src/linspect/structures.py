@@ -1,8 +1,9 @@
 """Finite relational structures, pointed variants, and structure-level constructions.
 
-Element ids are opaque strings.  Universes are ordered lists so that every
-enumeration downstream (run listing, morphism search, trace sets) is
-deterministic across runs.
+Element ids are opaque strings, and a structure file that gives any other
+value for one is refused, never converted.  Universes are ordered lists so
+that every enumeration downstream (run listing, morphism search, trace sets)
+is deterministic across runs.
 
 A ``Structure`` answers ``successors``, ``valuation`` and ``enabled_actions``
 from indexes built on the first call of each, from the relation tuples, so a
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -171,25 +173,31 @@ class ValidationReport:
 
 
 def validate(s: Structure) -> ValidationReport:
-    """Check every structure invariant; report all violations rather than the first."""
+    """Check every structure invariant; report all violations rather than the first.
+
+    Each check is a set operation over a whole universe or relation; the
+    per-element report is built only for a check that fails."""
     errors: list[str] = []
-    seen: set[str] = set()
-    for e in s.universe:
-        if e in seen:
-            errors.append(f"duplicate element {e!r}")
-        seen.add(e)
+    seen = set(s.universe)
+    if len(seen) != len(s.universe):
+        counted: set[str] = set()
+        for e in s.universe:
+            if e in counted:
+                errors.append(f"duplicate element {e!r}")
+            counted.add(e)
     names = set(s.signature.names)
     for name, tuples in s.interp.items():
         if name not in names:
             errors.append(f"unknown relation {name!r}")
             continue
         arity = s.signature.arity(name)
-        for tup in sorted(tuples):
-            if len(tup) != arity:
-                errors.append(f"arity mismatch in {name!r}: {tup} has width {len(tup)}, expected {arity}")
-            for e in tup:
-                if e not in seen:
-                    errors.append(f"unknown element {e!r} in tuple {tup} of {name!r}")
+        if set(map(len, tuples)) - {arity} or not seen.issuperset(chain.from_iterable(tuples)):
+            for tup in tuples:
+                if len(tup) != arity:
+                    errors.append(f"arity mismatch in {name!r}: {tup} has width {len(tup)}, expected {arity}")
+                for e in tup:
+                    if e not in seen:
+                        errors.append(f"unknown element {e!r} in tuple {tup} of {name!r}")
     return ValidationReport(ok=not errors, errors=tuple(sorted(errors)))
 
 
@@ -321,7 +329,9 @@ def product(a: PointedStructure, b: PointedStructure) -> PointedStructure:
 # {"signature": {"modal": bool, "relations": [{"name": str, "arity": int}]},
 #  "universe": [str], "point": str|null, "interp": {name: [[str, ...], ...]}}
 #
-# Unknown fields are rejected.
+# Element ids (the universe, every tuple entry and the point) are JSON
+# strings; any other value is refused, never coerced.  Unknown fields are
+# rejected.
 
 _TOP_FIELDS = {"signature", "universe", "point", "interp", "forest"}
 _SIG_FIELDS = {"modal", "relations"}
@@ -332,8 +342,19 @@ class FormatError(ValueError):
     """Raised when a structure file does not match the documented schema."""
 
 
+def _refuse_non_strings(ids: Iterable, where: str) -> None:
+    """Raise a FormatError naming the first element id in ``ids`` that is not
+    a string."""
+    for e in ids:
+        if type(e) is not str:
+            raise FormatError(f"{where}: element ids must be strings, not {e!r}")
+
+
 def structure_from_dict(data: dict) -> tuple[Structure, Optional[str], Optional[dict]]:
-    """Decode the JSON object form; returns (structure, point-or-None, forest block)."""
+    """Decode the JSON object form; returns (structure, point-or-None, forest block).
+
+    One pass over the ids, by set operations: each relation's tuple set is
+    built once, by ``Structure``, and checked by ``validate``."""
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     unknown = set(data) - _TOP_FIELDS
@@ -351,19 +372,32 @@ def structure_from_dict(data: dict) -> tuple[Structure, Optional[str], Optional[
             raise FormatError("bad relation entry")
         rels.append((str(rel["name"]), int(rel["arity"])))
     sig = Signature(tuple(rels), modal=bool(sig_data.get("modal", False)))
-    universe = tuple(str(e) for e in data["universe"])
-    interp = {
-        str(name): frozenset(tuple(str(e) for e in t) for t in tuples)
-        for name, tuples in data["interp"].items()
-    }
-    s = Structure(sig, universe, interp)
-    report = validate(s)
-    if not report.ok:
-        raise FormatError("; ".join(report.errors))
+    universe, interp = data["universe"], data["interp"]
+    if not isinstance(universe, list):
+        raise FormatError("universe must be a list")
+    if not isinstance(interp, dict):
+        raise FormatError("interp must be an object")
+    if set(map(type, universe)) - {str}:
+        _refuse_non_strings(universe, "universe")
+    for name, tuples in interp.items():
+        if not isinstance(tuples, list) or set(map(type, tuples)) - {list}:
+            raise FormatError(f"interp {name!r} must be a list of lists")
+    # A tuple entry found in the all-string universe is a string, since no
+    # other JSON value equals one; so validate's element check covers the
+    # entries, and their types are looked at only when a check fails.
+    try:
+        s = Structure(sig, tuple(universe), interp)
+        errors = validate(s).errors
+    except TypeError:  # an unhashable entry, a list or an object
+        errors = None
+    if errors != ():
+        for name, tuples in interp.items():
+            _refuse_non_strings(chain.from_iterable(tuples), f"interp {name!r}")
+        raise FormatError("; ".join(errors))
     point = data.get("point")
     if point is not None:
-        point = str(point)
-        if point not in universe:
+        _refuse_non_strings((point,), "point")
+        if point not in s.universe:
             raise FormatError(f"point {point!r} not in universe")
     return s, point, data.get("forest")
 

@@ -9,7 +9,9 @@ from linspect import cli
 from linspect.cli import main
 from linspect.fixtures import ALL_PLAIN, ALL_POINTED, write_fixture_files
 from linspect.games import solve_bisim
+from linspect.oracle import SUITES
 from linspect.structures import (
+    FormatError,
     Signature,
     Structure,
     dump_structure,
@@ -382,6 +384,15 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "0"), ("--samples", "-3"), ("--size", "0"), ("--size", "-1")]
+    )
+    def test_verify_refuses_meaningless_bound(self, capsys, suite, flag, value):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag[2:]} must be >= 1\n"
+
     def test_eval_needs_a_formula_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", fx("fix1")])
@@ -413,6 +424,44 @@ class TestErrorPaths:
         )
         assert out.returncode == 0
         assert "constant across stations: True" in out.stdout
+
+
+class TestNonStringIds:
+    """Element ids must be JSON strings; any other value is refused with exit 2."""
+
+    @staticmethod
+    def data() -> dict:
+        return {
+            "signature": {"modal": True, "relations": [{"name": "p", "arity": 1}, {"name": "a", "arity": 2}]},
+            "universe": ["0", "1"],
+            "point": "0",
+            "interp": {"p": [["0"]], "a": [["0", "1"]]},
+        }
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("universe", ["0", 1], "universe: element ids must be strings, not 1"),
+            ("interp", {"p": [["0"]], "a": [["0", 1]]}, "interp 'a': element ids must be strings, not 1"),
+            ("point", 0, "point: element ids must be strings, not 0"),
+            ("interp", {"p": [["0"]], "a": [["0", ["1"]]]}, "interp 'a': element ids must be strings, not ['1']"),
+        ],
+        ids=["universe", "tuple", "point", "list-in-tuple"],
+    )
+    def test_refused_with_exit_two(self, capsys, tmp_path, field, value, message):
+        data = self.data()
+        data[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check", "--rel", "tr", "-k", "2", str(path), str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            structure_from_dict(data)
+
+    def test_string_ids_accepted(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(self.data()))
+        assert run_cli(capsys, "check", "--rel", "tr", "-k", "2", str(path), str(path)) == (0, "TRUE\n", "")
 
 
 class TestReadyTraceCommand:

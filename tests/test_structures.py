@@ -12,6 +12,7 @@ from linspect.structures import (
     SignatureMismatch,
     Structure,
     UnknownElement,
+    ValidationReport,
     ball,
     copies,
     disjoint_union,
@@ -67,6 +68,52 @@ class TestValidate:
         s = Structure(sig, ("x",), {"p": frozenset({("x", "x"), ("z",)})})
         report = validate(s)
         assert len(report.errors) == 2
+
+
+# The per-tuple validate, with its sort, that the set-based checks replaced;
+# kept as the reference.
+
+
+def ref_validate(s: Structure) -> ValidationReport:
+    errors: list[str] = []
+    seen: set[str] = set()
+    for e in s.universe:
+        if e in seen:
+            errors.append(f"duplicate element {e!r}")
+        seen.add(e)
+    names = set(s.signature.names)
+    for name, tuples in s.interp.items():
+        if name not in names:
+            errors.append(f"unknown relation {name!r}")
+            continue
+        arity = s.signature.arity(name)
+        for tup in sorted(tuples):
+            if len(tup) != arity:
+                errors.append(f"arity mismatch in {name!r}: {tup} has width {len(tup)}, expected {arity}")
+            for e in tup:
+                if e not in seen:
+                    errors.append(f"unknown element {e!r} in tuple {tup} of {name!r}")
+    return ValidationReport(ok=not errors, errors=tuple(sorted(errors)))
+
+
+@st.composite
+def malformed_structures(draw):
+    """Structures that may repeat elements, interpret relations outside the
+    signature, and hold tuples of any width over elements outside the universe."""
+    pool = ["x", "y", "z", "w", "v"]
+    sig = Signature((("p", 1), ("a", 2), ("t", 3)))
+    universe = draw(st.lists(st.sampled_from(pool[:4]), max_size=6))
+    names = draw(st.lists(st.sampled_from(["p", "a", "t", "zz", "b"]), unique=True))
+    tuples = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    interp = {name: frozenset(draw(st.lists(tuples, max_size=4))) for name in names}
+    return Structure(sig, tuple(universe), interp)
+
+
+class TestValidateAgreesWithReference:
+    @given(malformed_structures())
+    @settings(max_examples=300, deadline=None)
+    def test_same_report(self, s):
+        assert validate(s) == ref_validate(s)
 
 
 class TestGaifman:
@@ -271,6 +318,22 @@ class TestFileFormat:
         data = structure_to_dict(fix4().base, "d0")
         data["interp"]["a"] = [["d0", "nope"]]
         with pytest.raises(FormatError):
+            structure_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("universe", "d0d1", "universe must be a list"),
+            ("interp", [], "interp must be an object"),
+            ("interp", {"a": "d0"}, "interp 'a' must be a list of lists"),
+            ("interp", {"a": [5]}, "interp 'a' must be a list of lists"),
+            ("interp", {"a": ["d0"]}, "interp 'a' must be a list of lists"),
+        ],
+    )
+    def test_bad_shapes_rejected(self, field, value, message):
+        data = structure_to_dict(fix4().base, "d0")
+        data[field] = value
+        with pytest.raises(FormatError, match=f"^{message}$"):
             structure_from_dict(data)
 
 
