@@ -7,10 +7,12 @@ Runs one fixed command list through ``linspect.cli.main``, once per tree,
 each in its own subprocess that imports ``linspect`` from that tree, and
 compares every command's stdout, stderr and exit code.  The list is
 ``distinguish`` on every ordered pair of the files under ``fixtures/``, under
-each of the four fragments at k 0-4, then every operation of the benchmark's
-``explain``, ``decide`` and ``deep`` workloads at seeds 1-3, in order, each
-``eval`` given the formula that its ``distinguish`` printed on the same tree,
-then the ``verify`` reports of the suites that read synthesized formulas
+each of the four fragments at k 0-4, then ``unravel`` of every fixture with
+``--comonad`` ML, TREE and GRAFT at k 0-4 and PR at k 1-2 and len 0-3, then
+every operation of the benchmark's ``explain``, ``decide``, ``deep`` and
+``crosscheck`` workloads at seeds 1-3, in order, each ``eval`` given the
+formula that its ``distinguish`` printed on the same tree, then the
+``verify`` reports of the suites that read synthesized formulas
 (thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) at seeds 1-3, then
 ``check`` on malformed copies of ``fixtures/fix1.json`` (a duplicate element,
 an unknown relation, an arity mismatch, an unknown element, a point outside
@@ -35,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FRAGMENTS = ("pos", "diamond", "bot", "graded")
 BOUNDS = range(5)
 SEEDS = (1, 2, 3)
-WORKLOAD_NAMES = ("explain", "decide", "deep")
+WORKLOAD_NAMES = ("explain", "decide", "deep", "crosscheck")
 # (suite, size, k) of each verify report compared
 SUITES = (("thm61", 5, 4), ("cor74", 3, 1), ("cor74", 3, 2))
 
@@ -69,6 +71,18 @@ def commands(workdir: Path) -> list[dict]:
         for right in fixtures
         for frag in FRAGMENTS
         for k in BOUNDS
+    ]
+    out += [
+        {"argv": ["unravel", "--comonad", comonad, "-k", str(k), path], "source": None}
+        for path in fixtures
+        for comonad in ("ML", "TREE", "GRAFT")
+        for k in BOUNDS
+    ]
+    out += [
+        {"argv": ["unravel", "--comonad", "PR", "-k", str(k), "--len", str(n), path], "source": None}
+        for path in fixtures
+        for k in (1, 2)
+        for n in range(4)
     ]
     for workload in WORKLOAD_NAMES:
         for seed in SEEDS:

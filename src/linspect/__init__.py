@@ -8,7 +8,6 @@ from .structures import (
     ball,
     copies,
     disjoint_union,
-    distance,
     gaifman_graph,
     load_pointed,
     load_structure,
@@ -28,7 +27,6 @@ from .unravel import (
     ForestObject,
     as_pointed,
     coreflect,
-    counit_check,
     ml_graft,
     ml_unravel,
     pr_unravel,
@@ -52,7 +50,6 @@ from .logic import (
     render_formula,
     synth_characteristic,
     synth_distinguishing,
-    synth_ready_formula,
     synth_trace_formula,
 )
 from .oracle import MorphismWitness, find_morphism, replay_prop86, run_suite

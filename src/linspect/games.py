@@ -657,11 +657,3 @@ def solve_ef(
     table: dict = {}
     ids = [_rank_type(*side, r, table) for side in sides]
     return GameResult(DUPLICATOR if ids[0] == ids[1] else SPOILER)
-
-
-def witness_records(result: GameResult) -> list[tuple]:
-    """Flatten a strategy witness into sorted (position, response) records,
-    naming nodes by their forest ids."""
-    if not isinstance(result.witness, dict):
-        return []
-    return sorted((repr(k), repr(v)) for k, v in result.witness.items())

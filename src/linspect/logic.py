@@ -34,10 +34,10 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .structures import PointedStructure, Signature, Structure
-from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_of, ReadyTrace
+from .traces import Run, check_trace_relation, enumerate_runs, runs_upto, trace_of
 
 
 class _Ref(weakref.ref):
@@ -398,15 +398,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (Dia, Box, GDia)):
         return (f.body,)
     return ()
-
-
-def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    """Every subformula occurrence, in pre-order, without recursion."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(reversed(_children(g)))
 
 
 def _post_order(roots: Sequence[Formula]) -> list[Formula]:
@@ -775,28 +766,6 @@ def synth_characteristic(p: PointedStructure, k: int, fragment: str) -> Formula:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")
     plan = _Plan([p])
     return conj([plan.node(plan.trace(0, run, fragment)) for run in runs_upto(p, k)])
-
-
-def synth_ready_formula(rt: ReadyTrace, actions: Optional[Sequence[str]] = None) -> Formula:
-    """A linear formula expressing the ready trace: enabled actions are
-    witnessed by diamonds, disabled ones excluded by box-falsum clauses."""
-    alphabet = tuple(actions) if actions is not None else tuple(
-        sorted(set().union(*rt.ready_sets, set(rt.actions)))
-    )
-
-    # built from the last step back: each formula is the body of the next
-    body = TT
-    for i in range(len(rt.actions), -1, -1):
-        ready = rt.ready_sets[i]
-        items: list[Formula] = [Box(g, FF) for g in alphabet if g not in ready]
-        if i < len(rt.actions):
-            step = rt.actions[i]
-            items += [Dia(b, TT) for b in sorted(ready) if b != step]
-            items.append(Dia(step, body))
-        else:
-            items += [Dia(b, TT) for b in sorted(ready)]
-        body = conj(items)
-    return body
 
 
 _FRAGMENT_RELATION = {

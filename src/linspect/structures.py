@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -76,6 +77,26 @@ class Signature:
         return tuple(name for name, ar in self.relations if ar == 2)
 
 
+def _label_index(labels: Iterable[tuple[str, set[str]]]) -> dict[str, frozenset[str]]:
+    """Each element of some label's set, mapped to the labels whose sets hold
+    it, in label order, by partition refinement: a class of elements with the
+    same labels so far splits by one set intersection per new label, and each
+    final class fills the index at once."""
+    classes: dict[tuple[str, ...], set[str]] = {}
+    for label, members in labels:
+        for names, cls in list(classes.items()):
+            inside = cls & members
+            if inside:
+                cls -= inside
+                members -= inside
+                classes[names + (label,)] = inside
+        classes[(label,)] = members
+    index: dict[str, frozenset[str]] = {}
+    for names, cls in classes.items():
+        index.update(dict.fromkeys(cls, frozenset(names)))
+    return index
+
+
 @dataclass(frozen=True)
 class Structure:
     """A finite structure: ordered universe plus per-relation tuple sets."""
@@ -110,15 +131,9 @@ class Structure:
 
     @cached_property
     def _valuations(self) -> dict[str, frozenset[str]]:
-        holding: dict[str, set[str]] = {}
-        for p in self.signature.propositions:
-            for (e,) in self.interp[p]:
-                holding.setdefault(e, set()).add(p)
-        # built in declaration order, as a scan of the propositions would be
-        return {
-            e: frozenset(p for p in self.signature.propositions if p in props)
-            for e, props in holding.items()
-        }
+        return _label_index(
+            (p, set(chain.from_iterable(self.interp[p]))) for p in self.signature.propositions
+        )
 
     @cached_property
     def _successors(self) -> dict[str, dict[str, tuple[str, ...]]]:
@@ -136,12 +151,9 @@ class Structure:
 
     @cached_property
     def _enabled(self) -> dict[str, frozenset[str]]:
-        sources = {act: {a for a, _ in self.interp[act]} for act in self.signature.actions}
-        every = set().union(*sources.values())
-        return {
-            e: frozenset(act for act in self.signature.actions if e in sources[act])
-            for e in every
-        }
+        return _label_index(
+            (act, set(map(itemgetter(0), self.interp[act]))) for act in self.signature.actions
+        )
 
     def is_terminal(self, element: str) -> bool:
         return not self.enabled_actions(element)
@@ -211,14 +223,6 @@ def gaifman_graph(s: Structure) -> dict[str, set[str]]:
                     adj[a].add(b)
                     adj[b].add(a)
     return adj
-
-
-def distance(s: Structure, a: str, b: str) -> float:
-    """Shortest-path distance in the Gaifman graph; ``inf`` if disconnected."""
-    for e in (a, b):
-        if e not in s.universe:
-            raise UnknownElement(e)
-    return _distances_from(s, a).get(b, float("inf"))
 
 
 def _distances_from(s: Structure, a: str) -> dict[str, int]:

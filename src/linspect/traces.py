@@ -200,13 +200,6 @@ class TraceAutomaton:
     moves: Mapping[Optional[str], Mapping[Letter, list[str]]]
     terminal: frozenset[str]
 
-    def count_words(self, length: int) -> int:
-        """Number of distinct traces of exactly this length."""
-        for depth, layer in enumerate(_layers(self, self, operator.eq, both=False, counting=True)):
-            if depth == length:
-                return len(layer)
-        return 0
-
 
 def _automaton(p: PointedStructure, ready: bool) -> TraceAutomaton:
     """Letters carry the target's ready set if ``ready``, else its valuation."""

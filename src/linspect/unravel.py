@@ -7,17 +7,30 @@ extendable shorter runs would dead-end and manufacture spurious complete
 traces; with maximal runs only, the construction is idempotent and the grafted
 variant is complete-trace equivalent to its source.  The node count is
 therefore 1 + sum of the lengths of the maximal runs.
+
+Both modal unravelings read one breadth-first walk over runs.  A TREE node is
+``@`` and its run string (``point>act:state...``); an ML node is its maximal
+run's TREE id without the ``@``, plus ``|i``.  The pebble-sequence forest PR
+has one chain per pebble sequence of length <= len, maximal or not.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from .structures import PointedStructure, Signature, Structure, induced
-from .traces import NonModalSignature, Run, maximal_runs, runs_upto
+from .structures import (
+    FormatError,
+    PointedStructure,
+    Signature,
+    Structure,
+    _refuse_non_strings,
+    induced,
+    structure_from_dict,
+    structure_to_dict,
+)
+from .traces import NonModalSignature
 
 
 @dataclass
@@ -89,7 +102,8 @@ class ForestObject:
 
 
 def check_modal_covering(f: ForestObject) -> list[str]:
-    """Condition (M): each covering pair carries exactly one action."""
+    """Condition (M): each covering pair carries exactly one action, and no
+    action relates any other pair."""
     problems = []
     for child, par in f.parent.items():
         actions = [
@@ -97,31 +111,35 @@ def check_modal_covering(f: ForestObject) -> list[str]:
         ]
         if len(actions) != 1:
             problems.append(f"covering pair ({par!r},{child!r}) carries {actions}")
+    for act in f.signature.actions:
+        for a, b in sorted(f.interp[act]):
+            if f.parent.get(b) != a:
+                problems.append(f"action {act!r} relates ({a!r},{b!r}), which is not a covering pair")
     return problems
 
 
 def check_condition_p(f: ForestObject) -> list[str]:
     """Pebble discipline: if nodes a <= a' co-occur in a relation tuple, no node
-    in the half-open segment (a, a'] may reuse a's pebble."""
-    problems = []
-    for leaf in (n for n in f.nodes if f.is_leaf(n)):
-        chain = f.path_to_root(leaf)
-        pos = {node: i for i, node in enumerate(chain)}
-        chain_set = set(chain)
-        for rel in f.interp.values():
-            for t in rel:
-                if not all(e in chain_set for e in t):
-                    continue
-                for a in t:
-                    for a2 in t:
-                        if pos[a] >= pos[a2]:
-                            continue
-                        for mid in chain[pos[a] + 1 : pos[a2] + 1]:
-                            if f.pebble[mid] == f.pebble[a]:
-                                problems.append(
-                                    f"pebble {f.pebble[a]} reused at {mid!r} within ({a!r},{a2!r}]"
-                                )
-    return sorted(set(problems))
+    in the half-open segment (a, a'] may reuse a's pebble.  A tuple counts
+    when its nodes lie on one branch, which is checked on the branch down to
+    its deepest node."""
+    problems = set()
+    for rel in f.interp.values():
+        for t in rel:
+            branch = f.path_to_root(max(t, key=f.depth))
+            pos = {node: i for i, node in enumerate(branch)}
+            if not all(e in pos for e in t):
+                continue
+            for a in t:
+                for a2 in t:
+                    if pos[a] >= pos[a2]:
+                        continue
+                    for mid in branch[pos[a] + 1 : pos[a2] + 1]:
+                        if f.pebble[mid] == f.pebble[a]:
+                            problems.add(
+                                f"pebble {f.pebble[a]} reused at {mid!r} within ({a!r},{a2!r}]"
+                            )
+    return sorted(problems)
 
 
 # --- linear modal unraveling -------------------------------------------------
@@ -183,18 +201,6 @@ def _node_count(
     return bound
 
 
-def ml_node_count(p: PointedStructure, k: int) -> int:
-    """The linear unraveling's size: 1 + the total maximal-run length."""
-    return _node_count(p, k, True)
-
-
-def _run_string(run: Run) -> str:
-    steps = "".join(
-        f">{act}:{state}" for act, state in zip(run.actions, run.states[1:])
-    )
-    return f"{run.states[0]}{steps}"
-
-
 def _modal_forest(signature: Signature, steps) -> ForestObject:
     """The modal forest listed by ``steps``.
 
@@ -238,51 +244,76 @@ def _modal_forest(signature: Signature, steps) -> ForestObject:
     )
 
 
+def _run_layers(p: PointedStructure, k: int, head: str = ""):
+    """The runs of length <= k, one list per length, in ``runs_upto``'s order.
+
+    One breadth-first walk, and no ``Run``: each run is ``(text, prefix,
+    state, valuation, action)``, where ``text`` is ``head`` followed by the
+    run string ``point>act:state>act:state...``, ``prefix`` is the run it
+    extends, ``state`` its end with that state's valuation, and ``action`` its
+    last action; the point's run has prefix and action None.
+    """
+    successors, valuation = p.base.successors, p.base.valuation
+    actions = p.signature.actions
+    layer = [(head + p.point, None, p.point, valuation(p.point), None)]
+    for _ in range(k):
+        yield layer
+        layer = [
+            (f"{run[0]}>{act}:{t}", run, t, valuation(t), act)
+            for run in layer
+            for act in actions
+            for t in successors(run[2], act)
+        ]
+    yield layer
+
+
 def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str]]:
     """Depth-k linear unraveling: a linear tree with one chain per maximal run.
 
-    Returns the forest and the counit map from nodes to source elements.
+    The chain of a maximal run names its i-th node by the run string and
+    ``|i``, so distinct runs get disjoint chains even when they share a
+    prefix.  Returns the forest and the counit map from nodes to source
+    elements.
     """
     if not p.signature.modal:
         raise NonModalSignature("ml_unravel requires a modal signature")
     _node_count(p, k, True, UNRAVEL_NODE_BUDGET)
-    valuation = p.base.valuation
+    terminal = p.base.is_terminal
 
     def steps():
-        yield p.point, None, p.point, valuation(p.point), None
-        for run in maximal_runs(p, k):
-            # the full run tags the chain: distinct runs get disjoint chains
-            # even when they share a prefix
-            tag = _run_string(run)
-            prev = p.point
-            for i in range(1, len(run) + 1):
-                node = f"{tag}|{i}"
-                state = run.states[i]
-                yield node, prev, state, valuation(state), run.actions[i - 1]
-                prev = node
+        for length, layer in enumerate(_run_layers(p, k)):
+            for run in layer:
+                if length == 0:  # the point's run is the root's step
+                    yield run
+                elif length == k or terminal(run[2]):
+                    chain, step = [], run
+                    while step[1] is not None:
+                        chain.append(step)
+                        step = step[1]
+                    prev = p.point
+                    for i, (_, _, state, val, act) in enumerate(reversed(chain), 1):
+                        node = f"{run[0]}|{i}"
+                        yield node, prev, state, val, act
+                        prev = node
 
     forest = _modal_forest(p.signature, steps())
     return forest, dict(forest.origin)
 
 
 def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
-    """Depth-k synchronization tree: nodes are runs, children extend by a step."""
+    """Depth-k synchronization tree: nodes are runs, children extend by a step.
+
+    A run's node is ``@`` followed by its run string.
+    """
     if not p.signature.modal:
         raise NonModalSignature("tree_unravel requires a modal signature")
     _node_count(p, k, False, UNRAVEL_NODE_BUDGET)
-    valuation = p.base.valuation
-
-    def steps():
-        # runs come shortest first, so a run's prefix is named before the run
-        root = f"@{p.point}"
-        ids = {((p.point,), ()): root}
-        yield root, None, p.point, valuation(p.point), None
-        for run in runs_upto(p, k)[1:]:
-            par = ids[run.states[:-1], run.actions[:-1]]
-            node = ids[run.states, run.actions] = f"{par}>{run.actions[-1]}:{run.last}"
-            yield node, par, run.last, valuation(run.last), run.actions[-1]
-
-    return _modal_forest(p.signature, steps())
+    steps = (
+        (text, prefix and prefix[0], state, val, act)
+        for layer in _run_layers(p, k, "@")
+        for text, prefix, state, val, act in layer
+    )
+    return _modal_forest(p.signature, steps)
 
 
 def coreflect(x: ForestObject) -> ForestObject:
@@ -331,20 +362,6 @@ def coreflect(x: ForestObject) -> ForestObject:
         action_in=action_in,
         pebble=pebble,
     )
-
-
-def branch_label_multiset(x: ForestObject) -> Counter:
-    """Multiset of maximal-branch label sequences (valuations and actions)."""
-    leaves = [n for n in x.nodes if x.is_leaf(n)]
-    out: Counter = Counter()
-    for leaf in leaves:
-        chain = x.path_to_root(leaf)
-        labels = tuple(
-            (tuple(sorted(x.valuation.get(n, frozenset()))), x.action_in.get(n))
-            for n in chain
-        )
-        out[labels] += 1
-    return out
 
 
 def as_pointed(x: ForestObject) -> PointedStructure:
@@ -436,11 +453,12 @@ def pr_unravel(
 ) -> tuple[ForestObject, dict[str, str]]:
     """Linear forest of pebble-placement sequences of length <= n over k pebbles.
 
-    A relation tuple holds at positions of one chain iff the relation holds on
-    the placed elements in the source structure and every position is its
-    pebble's latest placement up to the tuple's last position.  Each chain is
-    walked once, keeping each pebble's latest position.  Above
-    ``PR_STEP_BUDGET`` the forest is refused before it is built.
+    Each sequence of length 1 to n gets its own chain, named by the sequence
+    ``(pebble:element)...`` and ``|i``.  A relation tuple holds at positions of
+    one chain iff the relation holds on the placed elements in the source
+    structure and every position is its pebble's latest placement up to the
+    tuple's last position.  A sequence inherits these tuples from its prefix.
+    Above ``PR_STEP_BUDGET`` the forest is refused before it is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -457,42 +475,58 @@ def pr_unravel(
                 f"and position tuples); k={k} and len={n} over {len(s.universe)} elements "
                 "take more"
             )
-    alphabet = [(pb, el) for pb in range(1, k + 1) for el in s.universe]
+    # each placement with its text, last first, and each position's suffix
+    backwards = [(pb, el, f"({pb}:{el})") for pb in range(k, 0, -1) for el in reversed(s.universe)]
+    marks = [f"|{j}" for j in range(1, n + 1)]
     nodes: list[str] = []
     parent: dict[str, str] = {}
     roots: list[str] = []
     origin: dict[str, str] = {}
     pebble: dict[str, int] = {}
     tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in s.signature.names}
-
-    def add_chain(seq: tuple[tuple[int, str], ...]) -> None:
-        tag = "".join(f"({pb}:{el})" for pb, el in seq)
-        ids = [f"{tag}|{i}" for i in range(1, len(seq) + 1)]
-        latest: dict[int, int] = {}  # pebble -> its latest position so far
-        for i, (node, (pb, el)) in enumerate(zip(ids, seq)):
-            nodes.append(node)
-            origin[node] = el
-            pebble[node] = pb
-            if i == 0:
-                roots.append(node)
-            else:
-                parent[node] = ids[i - 1]
-            latest[pb] = i
-            # the tuples whose last position is i
-            for name, arity in s.signature.relations:
-                for combo in product(latest.values(), repeat=arity):
-                    if i in combo and tuple(seq[j][1] for j in combo) in s.interp[name]:
-                        tuples[name].add(tuple(ids[j] for j in combo))
+    relations = [(s.interp[name], tuples[name].add, arity) for name, arity in s.signature.relations]
+    # A fact is a relation's adder and a tuple of positions.  The facts that
+    # use a sequence's new position depend only on the latest positions (the
+    # new one is the greatest) and the elements placed there, so they are
+    # found once for each such pair.
+    fresh: dict = {}
 
     # every sequence in pre-order: a sequence, then its extensions in
-    # alphabet order
-    stack: list[tuple[tuple[int, str], ...]] = [()]
+    # alphabet order.  A sequence is its prefix's (tag, pebbles, elements,
+    # latest position of each pebble, facts) plus one placement and the facts
+    # that use it
+    stack = [(("", (), (), {}, ()), step) for step in backwards] if n else []
     while stack:
-        seq = stack.pop()
-        if seq:
-            add_chain(seq)
-        if len(seq) < n:
-            stack.extend(seq + (step,) for step in reversed(alphabet))
+        (tag, pebbles, elements, latest, facts), (pb, el, text) = stack.pop()
+        i = len(elements)
+        tag += text
+        pebbles += (pb,)
+        elements += (el,)
+        latest = {**latest, pb: i}
+        positions = tuple(latest.values())
+        key = (positions, tuple(map(elements.__getitem__, positions)))
+        new = fresh.get(key)
+        if new is None:
+            placed = dict(zip(*key)).__getitem__
+            new = fresh[key] = tuple(
+                (add, combo)
+                for rel, add, arity in relations
+                for combo in product(positions, repeat=arity)
+                if i in combo and tuple(map(placed, combo)) in rel
+            )
+        facts += new
+        ids = [tag + mark for mark in marks[: i + 1]]
+        nodes += ids
+        origin.update(zip(ids, elements))
+        pebble.update(zip(ids, pebbles))
+        roots.append(ids[0])
+        parent.update(zip(ids[1:], ids))
+        named = ids.__getitem__
+        for add, combo in facts:
+            add(tuple(map(named, combo)))
+        if i + 1 < n:
+            state = (tag, pebbles, elements, latest, facts)
+            stack += [(state, step) for step in backwards]
     forest = ForestObject(
         kind="pebbled",
         signature=s.signature,
@@ -506,26 +540,8 @@ def pr_unravel(
     return forest, dict(origin)
 
 
-@dataclass(frozen=True)
-class CounitReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
-def counit_check(x: ForestObject, origin: Structure) -> CounitReport:
-    """Verify that the origin map is a homomorphism onto the source structure."""
-    violations = []
-    for name, rel in x.interp.items():
-        for t in sorted(rel):
-            image = tuple(x.origin[e] for e in t)
-            if image not in origin.interp[name]:
-                violations.append(f"{name}{t} maps to {name}{image} which does not hold")
-    return CounitReport(ok=not violations, violations=tuple(violations))
-
-
 def forest_to_dict(x: ForestObject) -> dict:
     """Structure-file form with the added forest block."""
-    from .structures import structure_to_dict
 
     data = structure_to_dict(
         Structure(x.signature, x.nodes, dict(x.interp)),
@@ -544,34 +560,59 @@ def forest_to_dict(x: ForestObject) -> dict:
     return data
 
 
-def forest_from_dict(data: dict) -> ForestObject:
-    from .structures import structure_from_dict
+def _refuse_foreign(values: list, universe: frozenset[str], where: str) -> None:
+    """Raise a FormatError naming the first value that is not a string, or
+    not a node of the universe."""
+    _refuse_non_strings(values, where)
+    foreign = [v for v in values if v not in universe]
+    if foreign:
+        raise FormatError(f"{where}: {foreign[0]!r} is not in the universe")
 
+
+def forest_from_dict(data: dict) -> ForestObject:
+    """Decode a forest file: a structure file plus a forest block.
+
+    The block is checked in one pass: node ids are strings of the universe,
+    every ``parent`` entry and root among them, and each pebble a positive
+    int.  Then a modal forest must meet condition (M) and a pebbled one, which
+    gives every node a pebble, condition (P).  Each refusal is a
+    ``FormatError`` naming the value.
+    """
     s, point, block = structure_from_dict(data)
     if block is None:
         raise ValueError("missing forest block")
-    parent = {str(c): str(p) for c, p in block["parent"].items()}
-    roots = tuple(str(r) for r in block["roots"])
-    pebble = {str(n): int(v) for n, v in block.get("pebble", {}).items()}
-    origin = {str(n): str(e) for n, e in block.get("origin", {}).items()}
+    parent, roots = block.get("parent"), block.get("roots")
+    pebble, origin = block.get("pebble", {}), block.get("origin", {})
+    if not (isinstance(parent, dict) and isinstance(roots, list)
+            and isinstance(pebble, dict) and isinstance(origin, dict)):
+        raise FormatError("a forest block has a parent object, a roots list, and "
+                          "pebble and origin objects if any")
+    universe = frozenset(s.universe)
+    for where, ids in (("parent", [*parent, *parent.values()]), ("roots", roots),
+                       ("pebble", list(pebble)), ("origin", list(origin))):
+        _refuse_foreign(ids, universe, f"forest {where}")
+    _refuse_non_strings(origin.values(), "forest origin")
+    for v in pebble.values():
+        if type(v) is not int or v < 1:
+            raise FormatError(f"forest pebble: {v!r} is not a positive int")
+    if pebble and len(pebble) < len(universe):
+        bare = next(n for n in s.universe if n not in pebble)
+        raise FormatError(f"forest pebble: node {bare!r} has none")
     kind = "pebbled" if pebble else "modal"
-    valuation: dict[str, frozenset[str]] = {}
-    action_in: dict[str, str] = {}
-    if kind == "modal":
-        for node in s.universe:
-            valuation[node] = s.valuation(node)
-        for act in s.signature.actions:
-            for (a, b) in s.interp[act]:
-                action_in[b] = act
-    return ForestObject(
+    modal = kind == "modal"
+    forest = ForestObject(
         kind=kind,
         signature=s.signature,
         nodes=s.universe,
-        parent=parent,
-        roots=roots,
+        parent=dict(parent),
+        roots=tuple(roots),
         interp=dict(s.interp),
-        origin=origin or {n: n for n in s.universe},
-        valuation=valuation,
-        action_in=action_in,
-        pebble=pebble,
+        origin=dict(origin) or {n: n for n in s.universe},
+        valuation={n: s.valuation(n) for n in s.universe} if modal else {},
+        action_in={b: act for act in s.signature.actions for _, b in s.interp[act]} if modal else {},
+        pebble=dict(pebble),
     )
+    problems = check_modal_covering(forest) if modal else check_condition_p(forest)
+    if problems:
+        raise FormatError(f"not a {kind} forest: {problems[0]}")
+    return forest

@@ -19,7 +19,9 @@ from linspect.oracle import (
     suite_signature,
 )
 from linspect.traces import check_trace_relation
-from linspect.unravel import as_pointed, branch_label_multiset, ml_unravel
+from linspect.unravel import as_pointed, ml_unravel
+
+from helpers import branch_label_multiset
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> None:

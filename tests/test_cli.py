@@ -20,9 +20,10 @@ from linspect.structures import (
     structure_from_dict,
 )
 from linspect.traces import check_trace_relation
-from linspect.unravel import forest_to_dict, ml_node_count, ml_unravel
+from linspect.unravel import forest_to_dict, ml_unravel
 
 from conftest import line
+from helpers import ml_node_count
 
 REPO = Path(__file__).resolve().parents[1]
 FIXDIR = REPO / "fixtures"
@@ -264,6 +265,74 @@ class TestGameAndEval:
         )
         assert (code, out) == (2, "")
         assert err == "error: the back-and-forth game requires matching signatures\n"
+
+    def forest_file(self, capsys, tmp_path, *argv):
+        """Write ``unravel`` output to clean.json and return it decoded."""
+        code, out, _ = run_cli(capsys, "unravel", *argv)
+        assert code == 0
+        (tmp_path / "clean.json").write_text(out)
+        return json.loads(out)
+
+    def refused(self, capsys, tmp_path, data):
+        """Play ``data`` against clean.json; return the error text of the refusal."""
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "game", "--type", "bf", str(tmp_path / "bad.json"), str(tmp_path / "clean.json")
+        )
+        assert (code, out) == (2, "")
+        return err
+
+    def test_bf_refuses_an_action_off_the_covering_pairs(self, capsys, tmp_path):
+        sig = Signature((("a", 2),), modal=True)
+        chain = Structure(sig, ("s0", "s1", "s2"), {"a": {("s0", "s1"), ("s1", "s2")}})
+        dump_structure(chain, "s0", str(tmp_path / "chain.json"))
+        data = self.forest_file(capsys, tmp_path, "--comonad", "ML", "-k", "2", str(tmp_path / "chain.json"))
+        data["interp"]["a"].append(["s0", "s0>a:s1>a:s2|2"])
+        assert self.refused(capsys, tmp_path, data) == (
+            "error: not a modal forest: action 'a' relates ('s0','s0>a:s1>a:s2|2'), "
+            "which is not a covering pair\n"
+        )
+
+    def test_bf_refuses_a_parent_outside_the_universe(self, capsys, tmp_path):
+        data = self.forest_file(capsys, tmp_path, "--comonad", "ML", "-k", "1", fx("fix4"))
+        data["forest"]["parent"]["d0>a:d1|1"] = "elsewhere"
+        assert self.refused(capsys, tmp_path, data) == (
+            "error: forest parent: 'elsewhere' is not in the universe\n"
+        )
+
+    def test_bf_refuses_a_root_that_is_no_string(self, capsys, tmp_path):
+        data = self.forest_file(capsys, tmp_path, "--comonad", "ML", "-k", "1", fx("fix4"))
+        data["forest"]["roots"] = [5]
+        assert self.refused(capsys, tmp_path, data) == (
+            "error: forest roots: element ids must be strings, not 5\n"
+        )
+
+    @pytest.mark.parametrize("pebble, message", [
+        (0, "forest pebble: 0 is not a positive int"),
+        ("1", "forest pebble: '1' is not a positive int"),
+        (True, "forest pebble: True is not a positive int"),
+        (None, "forest pebble: node '(1:x)|1' has none"),
+    ])
+    def test_bf_refuses_a_bad_pebble(self, capsys, tmp_path, pebble, message):
+        s = Structure(Signature((("R", 2),)), ("x", "y"), {"R": {("x", "y")}})
+        dump_structure(s, None, str(tmp_path / "s.json"))
+        data = self.forest_file(capsys, tmp_path, "--comonad", "PR", "-k", "1", "--len", "1", str(tmp_path / "s.json"))
+        if pebble is None:
+            del data["forest"]["pebble"]["(1:x)|1"]
+        else:
+            data["forest"]["pebble"]["(1:x)|1"] = pebble
+        assert self.refused(capsys, tmp_path, data) == f"error: {message}\n"
+
+    def test_bf_refuses_a_broken_pebble_discipline(self, capsys, tmp_path):
+        s = Structure(Signature((("R", 2),)), ("x",), {"R": {("x", "x")}})
+        dump_structure(s, None, str(tmp_path / "s.json"))
+        data = self.forest_file(capsys, tmp_path, "--comonad", "PR", "-k", "1", "--len", "2", str(tmp_path / "s.json"))
+        # pebble 1 is placed again at the second position
+        data["interp"]["R"].append(["(1:x)(1:x)|1", "(1:x)(1:x)|2"])
+        assert self.refused(capsys, tmp_path, data) == (
+            "error: not a pebbled forest: pebble 1 reused at '(1:x)(1:x)|2' "
+            "within ('(1:x)(1:x)|1','(1:x)(1:x)|2']\n"
+        )
 
     def test_eval(self, capsys, tmp_path):
         terminal = tmp_path / "terminal.json"

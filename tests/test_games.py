@@ -333,7 +333,7 @@ class TestEf:
 
 class TestWitnessSerialization:
     def test_records_are_sorted_pairs(self):
-        from linspect.games import witness_records
+        from helpers import witness_records
 
         x, _ = ml_unravel(fix1(), 2)
         res = solve_back_and_forth(x, x, "full")

@@ -28,13 +28,11 @@ from linspect.logic import (
     conj,
     eval_formula,
     exact_count,
-    iter_subformulas,
     modal_depth,
     parse_formula,
     render_formula,
     synth_characteristic,
     synth_distinguishing,
-    synth_ready_formula,
     synth_trace_formula,
     truth_vectors,
     _NODES,
@@ -46,6 +44,7 @@ from linspect.traces import Run, ReadyTrace, check_trace_relation, enumerate_run
 from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_pairs, pointed_structures
+from helpers import iter_subformulas, synth_ready_formula
 
 
 formulas = st.deferred(

@@ -16,7 +16,6 @@ from linspect.structures import (
     ball,
     copies,
     disjoint_union,
-    distance,
     dump_structure,
     gaifman_graph,
     induced,
@@ -29,6 +28,7 @@ from linspect.structures import (
 from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_structures, plain_structures
+from helpers import distance
 
 
 def empty_structure(sig=MODAL_SIG):

@@ -22,6 +22,7 @@ from linspect.traces import (
 )
 
 from conftest import pointed_pairs, pointed_structures
+from helpers import count_words
 
 
 def pointed(actions: dict, point: str, p: tuple = ()) -> PointedStructure:
@@ -218,16 +219,16 @@ class TestAutomaton:
                     for t in traces_upto(p, k, "labelled")
                     if len(t) == k
                 }
-                assert aut.count_words(k) == len(expected)
+                assert count_words(aut, k) == len(expected)
 
     def test_self_loop_counts(self):
         aut = build_trace_automaton(loop())
-        assert [aut.count_words(n) for n in range(5)] == [1, 1, 1, 1, 1]
+        assert [count_words(aut, n) for n in range(5)] == [1, 1, 1, 1, 1]
 
     def test_empty_transition_structure(self):
         p = PointedStructure(Structure(fix4().signature, ("z",), {}), "z")
         aut = build_trace_automaton(p)
-        assert [aut.count_words(n) for n in range(3)] == [1, 0, 0]
+        assert [count_words(aut, n) for n in range(3)] == [1, 0, 0]
 
 
 class TestRelations:

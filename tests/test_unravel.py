@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -11,15 +12,12 @@ from linspect.unravel import (
     ForestObject,
     _node_count,
     as_pointed,
-    branch_label_multiset,
     check_condition_p,
     check_modal_covering,
     coreflect,
-    counit_check,
     forest_from_dict,
     forest_to_dict,
     ml_graft,
-    ml_node_count,
     ml_unravel,
     pr_unravel,
     tree_unravel,
@@ -27,6 +25,8 @@ from linspect.unravel import (
 from linspect.oracle import pointed_iso
 
 from conftest import plain_structures, pointed_structures
+from helpers import branch_label_multiset, counit_check, ml_node_count
+import unravel_reference as reference
 
 
 def isolated_point():
@@ -406,3 +406,107 @@ class TestForestValidation:
     def test_depths_from_one_walk(self):
         f = self.forest(("c", "r", "b"), {"c": "b", "b": "r"}, ("r",))
         assert [f.depth(n) for n in ("r", "b", "c")] == [0, 1, 2]
+
+
+def forest_fields(forest):
+    """Every field of a forest, each mapping as its list of items, so that
+    the order of nodes, roots and mapping entries counts; relations are
+    compared as sets."""
+    return {
+        f.name: list(value.items()) if isinstance(value, dict) and f.name != "interp" else value
+        for f in fields(forest)
+        for value in [getattr(forest, f.name)]
+    }
+
+
+@st.composite
+def modal_structures(draw):
+    """One or two propositions and one or two actions over one to three
+    states, self-loops allowed, at most four pairs per action."""
+    universe = ("s0", "s1", "s2")[: draw(st.integers(min_value=1, max_value=3))]
+    props = ("p", "q")[: draw(st.integers(min_value=1, max_value=2))]
+    actions = ("a", "b")[: draw(st.integers(min_value=1, max_value=2))]
+    sig = Signature(tuple((x, 1) for x in props) + tuple((x, 2) for x in actions), modal=True)
+    interp = {x: draw(st.sets(st.sampled_from(universe).map(lambda e: (e,)))) for x in props}
+    pairs = list(product(universe, repeat=2))
+    interp.update({x: draw(st.sets(st.sampled_from(pairs), max_size=4)) for x in actions})
+    return PointedStructure(Structure(sig, universe, interp), draw(st.sampled_from(universe)))
+
+
+@st.composite
+def three_arity_structures(draw):
+    """A unary, a binary and a ternary relation over one to three elements."""
+    universe = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
+    sig = Signature((("P", 1), ("R", 2), ("T", 3)))
+    interp = {
+        name: frozenset(draw(st.sets(st.sampled_from(list(product(universe, repeat=arity))))))
+        for name, arity in sig.relations
+    }
+    return Structure(sig, universe, interp)
+
+
+class TestBuildersMatchTheReference:
+    """The one-walk builders against the builders they replaced
+    (``tests/unravel_reference.py``): every field, in order, and the counit."""
+
+    @given(modal_structures(), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_ml_and_tree(self, p, k):
+        forest, counit = ml_unravel(p, k)
+        ref, ref_counit = reference.ml_unravel(p, k)
+        assert forest_fields(forest) == forest_fields(ref)
+        assert list(counit.items()) == list(ref_counit.items())
+        assert forest_fields(tree_unravel(p, k)) == forest_fields(reference.tree_unravel(p, k))
+
+    @given(three_arity_structures(), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_pr(self, s, k, n):
+        forest, counit = pr_unravel(s, k, n)
+        ref, ref_counit = reference.pr_unravel(s, k, n)
+        assert forest_fields(forest) == forest_fields(ref)
+        assert list(counit.items()) == list(ref_counit.items())
+
+    def test_budget_refusals_keep_their_messages(self):
+        sig = Signature((("a", 2), ("b", 2)), modal=True)
+        loops = PointedStructure(Structure(sig, ("s",), {"a": {("s", "s")}, "b": {("s", "s")}}), "s")
+        relation = Structure(Signature((("R", 2),)), ("x",), {"R": {("x", "x")}})
+        for build, ref, args in (
+            (ml_unravel, reference.ml_unravel, (loops, 14)),
+            (tree_unravel, reference.tree_unravel, (loops, 17)),
+            (pr_unravel, reference.pr_unravel, (relation, 1, 200)),
+        ):
+            with pytest.raises(ValueError, match="budget") as got:
+                build(*args)
+            with pytest.raises(ValueError, match="budget") as want:
+                ref(*args)
+            assert str(got.value) == str(want.value)
+
+
+@st.composite
+def pebbled_forests(draw):
+    """A branching forest of up to seven nodes, each parent drawn among the
+    nodes before it, with one or two pebbles and a binary and a ternary
+    relation on any nodes."""
+    size = draw(st.integers(min_value=1, max_value=7))
+    nodes = tuple(f"n{i}" for i in range(size))
+    parent = {}
+    for i in range(1, size):
+        j = draw(st.integers(min_value=-1, max_value=i - 1))
+        if j >= 0:
+            parent[nodes[i]] = nodes[j]
+    sig = Signature((("R", 2), ("T", 3)))
+    interp = {
+        name: frozenset(draw(st.sets(st.sampled_from(list(product(nodes, repeat=arity))), max_size=6)))
+        for name, arity in sig.relations
+    }
+    pebble = {n: draw(st.integers(min_value=1, max_value=2)) for n in nodes}
+    roots = tuple(n for n in nodes if n not in parent)
+    return ForestObject("pebbled", sig, nodes, parent, roots, interp, pebble=pebble)
+
+
+class TestConditionPMatchesTheLeafScan:
+    @given(pebbled_forests())
+    @settings(max_examples=80, deadline=None)
+    def test_same_problems(self, forest):
+        assert check_condition_p(forest) == reference.check_condition_p(forest)
