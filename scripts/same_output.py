@@ -13,12 +13,16 @@ every operation of the benchmark's ``explain``, ``decide``, ``deep`` and
 ``crosscheck`` workloads at seeds 1-3, in order, each ``eval`` given the
 formula that its ``distinguish`` printed on the same tree, then the
 ``verify`` reports of the suites that read synthesized formulas
-(thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) at seeds 1-3, then
-``check`` on malformed copies of ``fixtures/fix1.json`` (a duplicate element,
-an unknown relation, an arity mismatch, an unknown element, a point outside
-the universe, a missing field), whose error text must not change.  Prints
-the first difference and exits 1, or the number of commands compared and
-exits 0.
+(thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) and of the suites that
+play on forests (thm48, lemma313, prop85 and thm54 at the ``crosscheck``
+workload's size, k and len, 20 samples each) at seeds 1-3, then ``game
+--type bf`` in all three variants on every ordered pair of the fixtures'
+``unravel`` files (ML and TREE at k 3, PR at k 1 and len 2), each tree
+playing on the files that it wrote, then ``check`` on malformed copies of
+``fixtures/fix1.json`` (a duplicate element, an unknown relation, an arity
+mismatch, an unknown element, a point outside the universe, a missing
+field), whose error text must not change.  Prints the first difference and
+exits 1, or the number of commands compared and exits 0.
 """
 
 from __future__ import annotations
@@ -38,8 +42,15 @@ FRAGMENTS = ("pos", "diamond", "bot", "graded")
 BOUNDS = range(5)
 SEEDS = (1, 2, 3)
 WORKLOAD_NAMES = ("explain", "decide", "deep", "crosscheck")
-# (suite, size, k) of each verify report compared
-SUITES = (("thm61", 5, 4), ("cor74", 3, 1), ("cor74", 3, 2))
+# (suite, size, k, len, samples) of each verify report compared
+SUITES = (
+    ("thm61", 5, 4, 4, 50), ("cor74", 3, 1, 4, 50), ("cor74", 3, 2, 4, 50),
+    ("thm48", 5, 4, 4, 20), ("lemma313", 6, 4, 4, 20), ("prop85", 5, 4, 4, 20),
+    ("thm54", 2, 2, 3, 20),
+)
+# the unravel command line of each forest file that ``game --type bf`` plays
+FORESTS = (("ML", "-k", "3"), ("TREE", "-k", "3"), ("PR", "-k", "1", "--len", "2"))
+VARIANTS = ("full", "existential", "existential_positive")
 
 
 def malformed(data: dict) -> dict[str, dict]:
@@ -95,11 +106,23 @@ def commands(workdir: Path) -> list[dict]:
                 source = None if op.source is None else base + op.source
                 out.append({"argv": argv, "source": source, "formula": FORMULA})
     out += [
-        {"argv": ["verify", "--suite", suite, "--size", str(size), "-k", str(k), "--seed", str(seed)],
-         "source": None}
-        for suite, size, k in SUITES
+        {"argv": ["verify", "--suite", suite, "--size", str(size), "-k", str(k), "--len", str(n),
+                  "--samples", str(samples), "--seed", str(seed)], "source": None}
+        for suite, size, k, n, samples in SUITES
         for seed in SEEDS
     ]
+    for comonad, *bound in FORESTS:
+        files = []
+        for path in fixtures:
+            files.append(str(workdir / f"{comonad}-{Path(path).name}"))
+            out.append({"argv": ["unravel", "--comonad", comonad, *bound, path], "source": None,
+                        "save": files[-1]})
+        out += [
+            {"argv": ["game", "--type", "bf", "--variant", variant, left, right], "source": None}
+            for left in files
+            for right in files
+            for variant in VARIANTS
+        ]
     fix1 = ROOT / "fixtures" / "fix1.json"
     for name, data in malformed(json.loads(fix1.read_text())).items():
         path = workdir / f"malformed-{name}.json"
@@ -110,7 +133,8 @@ def commands(workdir: Path) -> list[dict]:
 
 def work(cmds: list[dict]) -> list:
     """Run the commands in this process; one [exit code, stdout, stderr] each,
-    or None for a skipped one."""
+    or None for a skipped one.  An entry with a ``save`` path writes its
+    stdout there."""
     import linspect
     from linspect.cli import main
 
@@ -132,6 +156,8 @@ def work(cmds: list[dict]) -> list:
             except SystemExit as exc:
                 rc = exc.code
         results.append([rc, out.getvalue(), err.getvalue()])
+        if "save" in cmd:
+            Path(cmd["save"]).write_text(out.getvalue())
     return results
 
 

@@ -23,25 +23,29 @@ and spans of open pathwise embeddings off the full game: the positions that
 Duplicator's table reaches, each under the one it was reached from, form the
 mediator.
 
+The back-and-forth solver plays on forest views (``unravel``): it reads a
+forest's roots, ``children`` and per-node ``labels`` only, so on a view it
+makes just the nodes the game reaches; the memo stays keyed by node pairs.
+The replays read whole paths, so they take a ``ForestObject``.
+
 Solvers and replays share one implementation of each job.  ``_partial_iso``
 is the partial-isomorphism check behind ``_pairs_partial_iso`` (the pebble
-game), ``_pebbled_compatible`` (pebbled paths) and the solver's
-pebbled step; ``_path_condition`` is the path condition behind ``path_iso``
-and ``path_hom_compatible``.  ``_bf_moves`` is the one source of
-back-and-forth moves and ``_pebble_game`` that of pebble placements: the
-solvers, the strategy walk ``_strategy_walk`` and the replays all read them.
-A replay is ``_solve`` on the solver's own game with one player held to the
-table's choice among the legal ones, so a table that names an illegal move
-or answer loses.  Its independence lies in its winning condition: the solver
-checks only a position's newest pair, against each pebble's latest
-placement, while the replays check the full path condition.
+game) and ``_pebbled_compatible`` (pebbled paths); ``_path_condition`` is
+the path condition behind ``path_iso`` and ``path_hom_compatible``.
+``_bf_moves`` is the one source of back-and-forth moves and ``_pebble_game``
+that of pebble placements: the solvers, the strategy walk ``_strategy_walk``
+and the replays all read them.  A replay is ``_solve`` on the solver's own
+game with one player held to the table's choice among the legal ones, so a
+table that names an illegal move or answer loses.  Its independence lies in
+its winning condition: the solver compares only a position's newest pair of
+node labels, while the replays check the full path condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Literal, Optional
 
 from .structures import PointedStructure, SignatureMismatch, Structure
@@ -262,7 +266,7 @@ def _held_to(moves, table: dict):
 _START = (None, None)
 
 
-def _covers(forest: ForestObject, node: Optional[str]) -> tuple[str, ...]:
+def _covers(forest, node: Optional[str]) -> tuple[str, ...]:
     """The one-step extensions of the path ending at ``node``."""
     return forest.roots if node is None else forest.children(node)
 
@@ -272,7 +276,7 @@ def _after(move: tuple, answer: Optional[str]) -> tuple:
     return (move[1], answer) if move[0] == "left" else (answer, move[1])
 
 
-def _bf_moves(x: ForestObject, y: ForestObject, variant: Variant):
+def _bf_moves(x, y, variant: Variant):
     """The back-and-forth game's moves for ``_solve``, its one source of moves:
     at ``(u, v)`` Spoiler extends the left path by each covering step, then,
     in the full game only, the right one, and Duplicator answers ``(side,
@@ -318,50 +322,42 @@ def _strategy_walk(moves, table: dict):
                 stack.append(nxt)
 
 
-def solve_back_and_forth(
-    x: ForestObject, y: ForestObject, variant: Variant = "full"
-) -> GameResult:
+def solve_back_and_forth(x, y, variant: Variant = "full") -> GameResult:
     """Solve the safety game on path pairs by memoized backward induction.
 
     Positions are pairs of paths, starting at the empty paths.  Spoiler
     extends a path by one covering step; Duplicator must answer on the other
     side and keep the pair inside the winning condition (path isomorphism, or
-    a componentwise morphism for the existential-positive variant).
+    a componentwise morphism for the existential-positive variant).  ``x``
+    and ``y`` are forest views (``unravel``), read through their roots,
+    children and labels only, so a view makes just the nodes the game
+    reaches.  The condition is checked on the freshly extended pair's labels
+    only, since ``_solve`` reaches (u, v) from (parent(u), parent(v)) alone:
+    equal labels, or for the existential-positive variant the valuation
+    within and the same action, or the same pebble and the coinciding pebbles
+    and facts within.  With the parent pair's partial isomorphism of latest
+    placements, a pebbled pair's labels decide the pair's.
     """
     if x.kind != y.kind:
         raise CategoryMismatch(f"cannot play {x.kind} against {y.kind}")
     if x.signature != y.signature:
         raise SignatureMismatch("the back-and-forth game requires matching signatures")
-    reflect = variant != "existential_positive"
-    if x.kind == "modal":
+    if variant != "existential_positive":
+        within = eq
+    elif x.kind == "modal":  # valuation within, the same action
 
-        def pair_ok(u: str, v: str) -> bool:
-            vu, vv = x.valuation[u], y.valuation[v]
-            vals_ok = vu == vv if reflect else vu <= vv
-            return vals_ok and x.action_in.get(u) == y.action_in.get(v)
+        def within(a: tuple, b: tuple) -> bool:
+            return a[0] <= b[0] and a[1] == b[1]
 
-    else:
-        # per side, node -> each pebble's latest placement on the node's path:
-        # the parent's map, which ``_solve`` made when it checked the parent
-        # pair, plus the node's own placement
-        latest_x: dict = {None: {}}
-        latest_y: dict = {None: {}}
+    else:  # the same pebble, coinciding pebbles and facts within
 
-        def pair_ok(u: str, v: str) -> bool:
-            if x.pebble[u] != y.pebble[v]:
-                return False
-            for f, latest, node in ((x, latest_x, u), (y, latest_y, v)):
-                if node not in latest:
-                    latest[node] = {**latest[f.parent.get(node)], f.pebble[node]: node}
-            # equal pebble sequences, so both maps have the same pebbles
-            lu, lv = latest_x[u], latest_y[v]
-            placed = [(x.origin[lu[pb]], y.origin[lv[pb]]) for pb in lu]
-            return _partial_iso(placed, {lu[pb]: lv[pb] for pb in lu}, x, y, reflect)
+        def within(a: tuple, b: tuple) -> bool:
+            return a[0] == b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+    lx, ly = x.labels, y.labels
 
     def step_ok(pos: tuple) -> bool:
-        """The winning condition, checked on the freshly extended pair only:
-        ``_solve`` reaches a position through the one before it."""
-        return pos == _START or pair_ok(*pos)
+        return pos == _START or within(lx[pos[0]], ly[pos[1]])
 
     moves = _bf_moves(x, y, variant)
     value, answer, refute = _solve(_START, step_ok, moves)

@@ -35,12 +35,13 @@ from .structures import (
 from .traces import check_trace_relation, runs_upto
 from .unravel import (
     ForestObject,
+    MLView,
+    PRView,
+    TreeView,
     _modal_forest,
     as_pointed,
     ml_graft,
     ml_unravel,
-    pr_unravel,
-    tree_unravel,
 )
 from .games import (
     _START,
@@ -99,25 +100,18 @@ def _canon_ids(roots, children, label) -> tuple[dict[str, int], tuple]:
     return ids, (tuple(table), tuple(sorted([ids[r] for r in roots])))
 
 
-def _forest_ids(f: ForestObject) -> tuple[dict[str, int], tuple]:
-    """``_canon_ids`` of a forest.  A modal node's label is its sorted valuation
-    and incoming action, "" at a root.  A pebbled node's label is its pebble and
-    the relation tuples whose deepest element it is, as offsets upward; tuples
-    that leave one chain are ignored."""
+def _forest_ids(f) -> tuple[dict[str, int], tuple]:
+    """``_canon_ids`` of a forest or a view, which it makes whole.  A modal
+    node's key is its sorted valuation and incoming action, "" at a root.  A
+    pebbled node's key is its pebble and its facts, the relation tuples whose
+    deepest element it is, as offsets upward; tuples that leave one chain are
+    ignored."""
+    labels = f.labels
     if f.kind == "modal":
         return _canon_ids(
-            f.roots, f.children, lambda n: (tuple(sorted(f.valuation[n])), f.action_in.get(n, ""))
+            f.roots, f.children, lambda n: (tuple(sorted(labels[n][0])), labels[n][1] or "")
         )
-    closes: dict[str, list[tuple]] = {n: [] for n in f.nodes}
-    for name, rel in f.interp.items():
-        for t in rel:
-            deepest = max(t, key=f.depth)
-            up = [deepest]  # and its ancestors as high as t reaches
-            while len(up) <= f.depth(deepest) - min(map(f.depth, t)):
-                up.append(f.parent[up[-1]])
-            if set(t) <= set(up):
-                closes[deepest].append((name, tuple(up.index(e) for e in t)))
-    return _canon_ids(f.roots, f.children, lambda n: (f.pebble[n], tuple(sorted(closes[n]))))
+    return _canon_ids(f.roots, f.children, lambda n: (labels[n][0], tuple(sorted(labels[n][2]))))
 
 
 def forest_canon(f: ForestObject) -> tuple:
@@ -147,7 +141,7 @@ def check_open_embedding(
     return True
 
 
-def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[MorphismWitness]:
+def find_morphism(x, y, kind: str) -> Optional[MorphismWitness]:
     """Search for the requested morphism kind; None is an answer.
 
     A homomorphism (pathwise embedding) is Duplicator's strategy in the
@@ -156,6 +150,8 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
     pathwise embeddings of modal forests is Duplicator's strategy in the full
     game: the positions it reaches are the mediator's nodes, under the
     positions they were reached from, and the two projections are its legs.
+    ``x`` and ``y`` may be views (``unravel``); an isomorphism search makes
+    them whole only when their node counts, known beforehand, are equal.
     """
     if x.kind != y.kind:
         raise ValueError("find_morphism needs same-category forests")
@@ -166,7 +162,7 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
             return None
         return MorphismWitness(kind, {u: w for ((_, (_, u)), (_, w)) in result.witness.items()})
     if kind == "isomorphism":
-        if len(x.nodes) != len(y.nodes):
+        if x.node_count() != y.node_count():
             return None
         (xids, xcanon), (yids, ycanon) = _forest_ids(x), _forest_ids(y)
         if xcanon != ycanon:
@@ -194,7 +190,7 @@ def find_morphism(x: ForestObject, y: ForestObject, kind: str) -> Optional[Morph
         def steps():
             for z in sorted(parent, key=lambda z: (x.depth(z[0]), z)):
                 par = None if parent[z] == _START else pair_id(parent[z])
-                yield pair_id(z), par, z[0], x.valuation[z[0]], x.action_in.get(z[0])
+                yield pair_id(z), par, z[0], *x.labels[z[0]]
 
         mediator = _modal_forest(x.signature, steps())
         map1 = {pair_id(z): z[0] for z in parent}
@@ -323,7 +319,7 @@ def _suite_thm61(size: int, k: int, samples: int, seed: int, length: int) -> Sui
     def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
-        ua, ub = ml_unravel(a, k)[0], ml_unravel(b, k)[0]
+        ua, ub = MLView(a, k), MLView(b, k)
         plan = _Plan([a, b])  # the trace formulas of both, shared by every item
         for label, kind, relation, fragment in THM61_ITEMS:
             directed = relation in ("tr", "ltr")
@@ -352,7 +348,7 @@ def _suite_thm48(size: int, k: int, samples: int, seed: int, length: int) -> Sui
     def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
-        ta, tb = tree_unravel(a, k), tree_unravel(b, k)
+        ta, tb = TreeView(a, k), TreeView(b, k)
         implications = [
             (
                 "morphism->tr",
@@ -392,8 +388,7 @@ def _suite_thm54(size: int, k: int, samples: int, seed: int, length: int) -> Sui
         a = gen_structure(sig, size, rng)
         b = gen_structure(sig, size, rng)
         direct = solve_ppeb(a, b, k, length).duplicator_wins
-        fa, _ = pr_unravel(a, k, length)
-        fb, _ = pr_unravel(b, k, length)
+        fa, fb = PRView(a, k, length), PRView(b, k, length)
         game = solve_back_and_forth(fa, fb, "full").duplicator_wins
         return None if direct == game else f"all-in-one={direct} back-and-forth={game}"
 
@@ -602,7 +597,7 @@ def _suite_lemma313(size: int, k: int, samples: int, seed: int, length: int) -> 
     def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
         b = gen_pointed(sig, size, rng)
-        for maker in (tree_unravel, lambda p, kk: ml_unravel(p, kk)[0]):
+        for maker in (TreeView, MLView):
             x, y = maker(a, k), maker(b, k)
             if solve_back_and_forth(x, y, "full").duplicator_wins:
                 exist_lr = solve_back_and_forth(x, y, "existential").duplicator_wins

@@ -8,17 +8,32 @@ traces; with maximal runs only, the construction is idempotent and the grafted
 variant is complete-trace equivalent to its source.  The node count is
 therefore 1 + sum of the lengths of the maximal runs.
 
-Both modal unravelings read one breadth-first walk over runs.  A TREE node is
+Both modal unravelings read runs in breadth-first order.  A TREE node is
 ``@`` and its run string (``point>act:state...``); an ML node is its maximal
 run's TREE id without the ``@``, plus ``|i``.  The pebble-sequence forest PR
 has one chain per pebble sequence of length <= len, maximal or not.
+
+Each comonad has one generator, a *view* (``MLView``, ``TreeView``,
+``PRView``) that makes a node the first time ``children`` lists it.  A view
+answers ``roots``, ``children(node)``, ``depth(node)``, ``labels`` (node ->
+the label the back-and-forth game compares) and ``node_count()``, known
+before any node is made; ``force()`` makes every node and returns the
+``ForestObject``, which answers the same protocol.  ``ml_unravel``,
+``tree_unravel`` and ``pr_unravel`` are the forced views.  A modal node's
+label is its valuation and incoming action (None at a root).  A pebbled
+node's label is its pebble, the other pebbles whose latest placement on its
+path holds its element, and its new facts: the relation tuples whose deepest
+node it is, as (relation, offsets upward).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import product
+from operator import itemgetter
 
 from .structures import (
     FormatError,
@@ -40,7 +55,7 @@ class ForestObject:
     ``interp`` interprets the signature's relations over the nodes.  For modal
     forests the binary relations sit exactly on covering pairs, one action per
     pair; pebbled forests interpret relations by the pebble-reuse conditions
-    and may relate non-covering nodes.
+    and may relate non-covering nodes.  It is a view with every node made.
     """
 
     kind: str  # "modal" | "pebbled"
@@ -53,8 +68,13 @@ class ForestObject:
     valuation: dict[str, frozenset[str]] = field(default_factory=dict)
     action_in: dict[str, str] = field(default_factory=dict)
     pebble: dict[str, int] = field(default_factory=dict)
+    # a forced view's children and depth maps, which need no walk or check
+    shape: InitVar[tuple | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shape) -> None:
+        if shape is not None:
+            self._children, self._depth = shape
+            return
         self._children: dict[str, list[str]] = {n: [] for n in self.nodes}
         for child, par in self.parent.items():
             self._children[par].append(child)
@@ -99,6 +119,36 @@ class ForestObject:
 
     def node_count(self) -> int:
         return len(self.nodes)
+
+    def force(self) -> ForestObject:
+        return self
+
+    @cached_property
+    def labels(self) -> dict:
+        """Each node's label, as the module docstring defines it; a pebbled
+        node's facts are read off ``interp``, ignoring tuples that leave one
+        chain."""
+        if self.kind == "modal":
+            return {n: (self.valuation[n], self.action_in.get(n)) for n in self.nodes}
+        facts: dict[str, list[tuple]] = {n: [] for n in self.nodes}
+        for name, rel in self.interp.items():
+            for t in rel:
+                deepest = max(t, key=self.depth)
+                up = [deepest]  # and its ancestors as high as t reaches
+                while len(up) <= self.depth(deepest) - min(map(self.depth, t)):
+                    up.append(self.parent[up[-1]])
+                if set(t) <= set(up):
+                    facts[deepest].append((name, tuple(up.index(e) for e in t)))
+        # node -> each pebble's element at its latest placement on the node's path
+        latest: dict = {None: {}}
+        labels = {}
+        for n in sorted(self.nodes, key=self.depth):
+            above = latest[self.parent.get(n)]
+            pb, el = self.pebble[n], self.origin[n]
+            latest[n] = {**above, pb: el}
+            same = frozenset(q for q, e in above.items() if q != pb and e == el)
+            labels[n] = (pb, same, frozenset(facts[n]))
+        return labels
 
 
 def check_modal_covering(f: ForestObject) -> list[str]:
@@ -169,15 +219,18 @@ def _node_count(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    successors, actions = p.base.successors, p.signature.actions
     level, count = {p.point: 1}, int(linear)
     for i in range(k + 1):
         following: dict[str, int] = {}
         ended = 0  # runs of length i that end in a terminal state
         for state, n in level.items():
-            targets = [t for act in p.signature.actions for t in p.base.successors(state, act)]
-            ended += 0 if targets else n
-            for t in targets:
-                following[t] = following.get(t, 0) + n
+            terminal = True
+            for act in actions:
+                for t in successors(state, act):
+                    following[t] = following.get(t, 0) + n
+                    terminal = False
+            ended += n if terminal else 0
         if linear:
             bound = count + i * sum(level.values())
             count += i * ended
@@ -201,8 +254,8 @@ def _node_count(
     return bound
 
 
-def _modal_forest(signature: Signature, steps) -> ForestObject:
-    """The modal forest listed by ``steps``.
+def _modal_forest(signature: Signature, steps, shape: tuple | None = None) -> ForestObject:
+    """The modal forest listed by ``steps``, of a view's ``shape`` if given.
 
     Each step is ``(node, parent, origin, valuation, action)``; a root has
     parent and action None.  Node and root order follow the steps, and each
@@ -241,83 +294,185 @@ def _modal_forest(signature: Signature, steps) -> ForestObject:
         origin=origin,
         valuation=valuation,
         action_in=action_in,
+        shape=shape,
     )
 
 
-def _run_layers(p: PointedStructure, k: int, head: str = ""):
-    """The runs of length <= k, one list per length, in ``runs_upto``'s order.
+def _extensions(p: PointedStructure):
+    """The one-step extensions of a list of runs, per run, then action, then
+    successor.  A run is its TREE node's spec ``(text, prefix's text,
+    length, state, prefix, (valuation, action))``: ``text`` is a head
+    followed by the run string ``point>act:state>act:state...``, ``state``
+    its end, with that state's valuation and the last action as its label,
+    and ``prefix`` the run it extends."""
+    successors, valuation, actions = p.base.successors, p.base.valuation, p.signature.actions
 
-    One breadth-first walk, and no ``Run``: each run is ``(text, prefix,
-    state, valuation, action)``, where ``text`` is ``head`` followed by the
-    run string ``point>act:state>act:state...``, ``prefix`` is the run it
-    extends, ``state`` its end with that state's valuation, and ``action`` its
-    last action; the point's run has prefix and action None.
-    """
-    successors, valuation = p.base.successors, p.base.valuation
-    actions = p.signature.actions
-    layer = [(head + p.point, None, p.point, valuation(p.point), None)]
+    def extend(runs: list[tuple]) -> list[tuple]:
+        return [
+            (f"{run[0]}>{act}:{t}", run[0], run[2] + 1, t, run, (valuation(t), act))
+            for run in runs
+            for act in actions
+            for t in successors(run[3], act)
+        ]
+
+    return extend
+
+
+def _point_run(p: PointedStructure, head: str) -> tuple:
+    """The run of length 0, with no prefix and no action."""
+    return (head + p.point, None, 0, p.point, None, (p.base.valuation(p.point), None))
+
+
+def _run_layers(p: PointedStructure, k: int):
+    """The runs of length <= k, one list per length, in ``runs_upto``'s order:
+    one breadth-first walk of ``_extensions``, and no ``Run``."""
+    extend = _extensions(p)
+    layer = [_point_run(p, "")]
     for _ in range(k):
         yield layer
-        layer = [
-            (f"{run[0]}>{act}:{t}", run, t, valuation(t), act)
-            for run in layer
-            for act in actions
-            for t in successors(run[2], act)
-        ]
+        layer = extend(layer)
     yield layer
 
 
-def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str]]:
-    """Depth-k linear unraveling: a linear tree with one chain per maximal run.
+_EMPTY_PATH = (None, None, -1, None, None, ())  # the spec of the empty path
+
+
+class _View:
+    """What the three views share.  A node's spec is ``(node, parent, depth,
+    origin, what _extend reads, label)``; ``_extend(spec)`` lists the specs
+    of the node's children, and the roots are the children of the empty
+    path, whose node is None.  ``children`` keeps the specs of the nodes it
+    makes, once per node, and their labels in ``labels``; ``force`` walks
+    ``_extend`` over every node."""
+
+    depth_first = True  # the forced node order: pre-order, else by depth
+
+    def __init__(self, kind: str, signature: Signature, count: int) -> None:
+        self.kind, self.signature, self._count = kind, signature, count
+        self.labels: dict = {}
+        self._made: dict = {None: _EMPTY_PATH}
+        self._kids: dict = {}
+        self._forced: ForestObject | None = None
+
+    @property
+    def roots(self) -> tuple[str, ...]:
+        return self.children(None)
+
+    def children(self, node: str | None) -> tuple[str, ...]:
+        kids = self._kids.get(node)
+        if kids is None:
+            made, labels, kids = self._made, self.labels, []
+            for child in self._extend(made[node]):
+                made[child[0]] = child
+                labels[child[0]] = child[5]
+                kids.append(child[0])
+            kids = self._kids[node] = tuple(kids)
+        return kids
+
+    def depth(self, node: str) -> int:
+        return self._made[node][2]
+
+    def node_count(self) -> int:
+        return self._count
+
+    def force(self) -> ForestObject:
+        """The forest with every node made, in the forced node order: one
+        walk of ``_extend`` from the empty path, depth first (pre-order) or
+        by depth, that keeps each node as a forest step ``(node, parent,
+        origin, *label)`` rather than as a made node of the view."""
+        if self._forced is None:
+            steps, kids, depth, first, extend = [], {}, {}, itemgetter(0), self._extend
+            pending = deque([_EMPTY_PATH])
+            take, later = (pending.pop, reversed) if self.depth_first else (pending.popleft, iter)
+            while pending:
+                spec = take()
+                listed = extend(spec)
+                kids[spec[0]] = tuple(map(first, listed))
+                depth[spec[0]] = spec[2]
+                steps.append((spec[0], spec[1], spec[3]) + spec[5])
+                pending.extend(later(listed))
+            del kids[None], depth[None], steps[0]
+            self._forced = self._forest(steps, (kids, depth))
+        return self._forced
+
+    def _forest(self, steps: list[tuple], shape: tuple) -> ForestObject:
+        return _modal_forest(self.signature, steps, shape)
+
+
+class MLView(_View):
+    """Depth-k linear unraveling made on demand: one chain per maximal run.
 
     The chain of a maximal run names its i-th node by the run string and
     ``|i``, so distinct runs get disjoint chains even when they share a
-    prefix.  Returns the forest and the counit map from nodes to source
-    elements.
+    prefix.  The root's children, the chains' heads, come from one run walk.
     """
-    if not p.signature.modal:
-        raise NonModalSignature("ml_unravel requires a modal signature")
-    _node_count(p, k, True, UNRAVEL_NODE_BUDGET)
-    terminal = p.base.is_terminal
 
-    def steps():
-        for length, layer in enumerate(_run_layers(p, k)):
+    def __init__(self, p: PointedStructure, k: int) -> None:
+        if not p.signature.modal:
+            raise NonModalSignature("ml_unravel requires a modal signature")
+        super().__init__("modal", p.signature, _node_count(p, k, True, UNRAVEL_NODE_BUDGET))
+        self._p, self._k = p, k
+
+    def _extend(self, spec: tuple) -> list[tuple]:
+        """The root's spec is the point's run; a chain node reads its maximal
+        run's ``(text, runs)``, the run's prefixes from length 1."""
+        node, chain, depth = spec[0], spec[4], spec[2] + 1
+        if node is None:
+            return [_point_run(self._p, "")]
+        if chain is not None:
+            if depth > len(chain[1]):
+                return []
+            run = chain[1][depth - 1]
+            return [(f"{chain[0]}|{depth}", node, depth, run[3], chain, run[5])]
+        terminal, chains = self._p.base.is_terminal, []  # the root: one head per maximal run
+        for length, layer in enumerate(_run_layers(self._p, self._k)):
             for run in layer:
-                if length == 0:  # the point's run is the root's step
-                    yield run
-                elif length == k or terminal(run[2]):
-                    chain, step = [], run
-                    while step[1] is not None:
-                        chain.append(step)
-                        step = step[1]
-                    prev = p.point
-                    for i, (_, _, state, val, act) in enumerate(reversed(chain), 1):
-                        node = f"{run[0]}|{i}"
-                        yield node, prev, state, val, act
-                        prev = node
+                if length and (length == self._k or terminal(run[3])):
+                    runs, step = [], run
+                    while step[4] is not None:
+                        runs.append(step)
+                        step = step[4]
+                    runs.reverse()
+                    chains.append((run[0], runs))
+        return [
+            (f"{text}|1", node, 1, runs[0][3], (text, runs), runs[0][5]) for text, runs in chains
+        ]
 
-    forest = _modal_forest(p.signature, steps())
+
+class TreeView(_View):
+    """Depth-k synchronization tree made on demand: nodes are runs, children
+    extend by a step.  A run's node is ``@`` followed by its run string, and
+    its spec the run itself."""
+
+    depth_first = False
+
+    def __init__(self, p: PointedStructure, k: int) -> None:
+        if not p.signature.modal:
+            raise NonModalSignature("tree_unravel requires a modal signature")
+        super().__init__("modal", p.signature, _node_count(p, k, False, UNRAVEL_NODE_BUDGET))
+        self._p, self._extensions, self._k = p, _extensions(p), k
+
+    def _extend(self, run: tuple) -> list[tuple]:
+        if run[0] is None:
+            return [_point_run(self._p, "@")]
+        return self._extensions([run]) if run[2] < self._k else []
+
+
+def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str]]:
+    """The forced ``MLView`` and its counit map from nodes to source elements."""
+    forest = MLView(p, k).force()
     return forest, dict(forest.origin)
 
 
 def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
-    """Depth-k synchronization tree: nodes are runs, children extend by a step.
-
-    A run's node is ``@`` followed by its run string.
-    """
-    if not p.signature.modal:
-        raise NonModalSignature("tree_unravel requires a modal signature")
-    _node_count(p, k, False, UNRAVEL_NODE_BUDGET)
-    steps = (
-        (text, prefix and prefix[0], state, val, act)
-        for layer in _run_layers(p, k, "@")
-        for text, prefix, state, val, act in layer
-    )
-    return _modal_forest(p.signature, steps)
+    """The forced ``TreeView``."""
+    return TreeView(p, k).force()
 
 
-def coreflect(x: ForestObject) -> ForestObject:
-    """Branch decomposition: one disjoint chain per maximal node's down-set."""
+def coreflect(x) -> ForestObject:
+    """Branch decomposition: one disjoint chain per maximal node's down-set,
+    of the forced forest."""
+    x = x.force()
     maximal = [n for n in x.nodes if x.is_leaf(n)]
     nodes: list[str] = []
     parent: dict[str, str] = {}
@@ -448,96 +603,112 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
 PR_STEP_BUDGET = 500_000
 
 
-def pr_unravel(
-    s: Structure, k: int, n: int
-) -> tuple[ForestObject, dict[str, str]]:
-    """Linear forest of pebble-placement sequences of length <= n over k pebbles.
+class PRView(_View):
+    """Linear forest of pebble-placement sequences of length <= n over k
+    pebbles, made on demand.
 
     Each sequence of length 1 to n gets its own chain, named by the sequence
-    ``(pebble:element)...`` and ``|i``.  A relation tuple holds at positions of
-    one chain iff the relation holds on the placed elements in the source
+    ``(pebble:element)...`` and ``|i``.  A relation tuple holds at positions
+    of one chain iff the relation holds on the placed elements in the source
     structure and every position is its pebble's latest placement up to the
-    tuple's last position.  A sequence inherits these tuples from its prefix.
-    Above ``PR_STEP_BUDGET`` the forest is refused before it is built.
+    tuple's last position, so a node's label depends only on its sequence's
+    prefix up to it.  Above ``PR_STEP_BUDGET`` the view is refused before it
+    is made.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("len must be >= 0")
-    arities = [arity for _, arity in s.signature.relations]
-    steps, sequences = 0, 1
-    for i in range(1, min(n, PR_STEP_BUDGET) + 1):  # each length adds at least i
-        sequences *= k * len(s.universe)
-        steps += sequences * (i + sum(i**arity for arity in arities))
-        if steps > PR_STEP_BUDGET:
-            raise ValueError(
-                f"pr_unravel runs only within its budget of {PR_STEP_BUDGET} steps (nodes "
-                f"and position tuples); k={k} and len={n} over {len(s.universe)} elements "
-                "take more"
-            )
-    # each placement with its text, last first, and each position's suffix
-    backwards = [(pb, el, f"({pb}:{el})") for pb in range(k, 0, -1) for el in reversed(s.universe)]
-    marks = [f"|{j}" for j in range(1, n + 1)]
-    nodes: list[str] = []
-    parent: dict[str, str] = {}
-    roots: list[str] = []
-    origin: dict[str, str] = {}
-    pebble: dict[str, int] = {}
-    tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in s.signature.names}
-    relations = [(s.interp[name], tuples[name].add, arity) for name, arity in s.signature.relations]
-    # A fact is a relation's adder and a tuple of positions.  The facts that
-    # use a sequence's new position depend only on the latest positions (the
-    # new one is the greatest) and the elements placed there, so they are
-    # found once for each such pair.
-    fresh: dict = {}
 
-    # every sequence in pre-order: a sequence, then its extensions in
-    # alphabet order.  A sequence is its prefix's (tag, pebbles, elements,
-    # latest position of each pebble, facts) plus one placement and the facts
-    # that use it
-    stack = [(("", (), (), {}, ()), step) for step in backwards] if n else []
-    while stack:
-        (tag, pebbles, elements, latest, facts), (pb, el, text) = stack.pop()
-        i = len(elements)
-        tag += text
-        pebbles += (pb,)
-        elements += (el,)
-        latest = {**latest, pb: i}
-        positions = tuple(latest.values())
-        key = (positions, tuple(map(elements.__getitem__, positions)))
-        new = fresh.get(key)
-        if new is None:
-            placed = dict(zip(*key)).__getitem__
-            new = fresh[key] = tuple(
-                (add, combo)
-                for rel, add, arity in relations
-                for combo in product(positions, repeat=arity)
-                if i in combo and tuple(map(placed, combo)) in rel
-            )
-        facts += new
-        ids = [tag + mark for mark in marks[: i + 1]]
-        nodes += ids
-        origin.update(zip(ids, elements))
-        pebble.update(zip(ids, pebbles))
-        roots.append(ids[0])
-        parent.update(zip(ids[1:], ids))
-        named = ids.__getitem__
-        for add, combo in facts:
-            add(tuple(map(named, combo)))
-        if i + 1 < n:
-            state = (tag, pebbles, elements, latest, facts)
-            stack += [(state, step) for step in backwards]
-    forest = ForestObject(
-        kind="pebbled",
-        signature=s.signature,
-        nodes=tuple(nodes),
-        parent=parent,
-        roots=tuple(roots),
-        interp={name: frozenset(ts) for name, ts in tuples.items()},
-        origin=origin,
-        pebble=pebble,
-    )
-    return forest, dict(origin)
+    def __init__(self, s: Structure, k: int, n: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if n < 0:
+            raise ValueError("len must be >= 0")
+        arities = [arity for _, arity in s.signature.relations]
+        steps, sequences, count = 0, 1, 0
+        for i in range(1, min(n, PR_STEP_BUDGET) + 1):  # each length adds at least i
+            sequences *= k * len(s.universe)
+            count += i * sequences
+            steps += sequences * (i + sum(i**arity for arity in arities))
+            if steps > PR_STEP_BUDGET:
+                raise ValueError(
+                    f"pr_unravel runs only within its budget of {PR_STEP_BUDGET} steps (nodes "
+                    f"and position tuples); k={k} and len={n} over {len(s.universe)} elements "
+                    "take more"
+                )
+        super().__init__("pebbled", s.signature, count)
+        self._s, self._k, self._marks = s, k, [f"|{j}" for j in range(1, n + 1)]
+
+    def _extend(self, spec: tuple) -> list[tuple]:
+        """A node reads its sequence's ``(tag, (element, label) per position)``."""
+        if spec[4] is not None:
+            tag, chain = sequence = spec[4]
+            depth = spec[2] + 1
+            if depth == len(chain):
+                return []
+            el, label = chain[depth]
+            return [(tag + self._marks[depth], spec[0], depth, el, sequence, label)]
+        s, k, n = self._s, self._k, len(self._marks)
+        # each placement with its text, last first
+        backwards = [
+            (pb, el, f"({pb}:{el})") for pb in range(k, 0, -1) for el in reversed(s.universe)
+        ]
+        relations = [(s.interp[name], name, arity) for name, arity in s.signature.relations]
+        known: dict = {}  # (latest placements, their elements) -> the new node's label
+        roots = []
+        # every sequence in pre-order: a sequence, then its extensions in
+        # alphabet order.  A sequence is its prefix's (tag, elements, latest
+        # position of each pebble, chain) plus one placement
+        stack = [(("", (), {}, ()), step) for step in backwards] if n else []
+        while stack:
+            (tag, elements, latest, chain), (pb, el, text) = stack.pop()
+            i = len(elements)
+            tag += text
+            elements += (el,)
+            latest = {**latest, pb: i}
+            key = (tuple(latest.items()), tuple(map(elements.__getitem__, latest.values())))
+            label = known.get(key)
+            if label is None:
+                placed = dict(zip(latest.values(), key[1])).__getitem__
+                facts = frozenset(
+                    (name, tuple(i - j for j in combo))
+                    for rel, name, arity in relations
+                    for combo in product(latest.values(), repeat=arity)
+                    if i in combo and tuple(map(placed, combo)) in rel
+                )
+                same = frozenset(q for q, j in latest.items() if j != i and elements[j] == el)
+                label = known[key] = (pb, same, facts)
+            chain += ((el, label),)
+            roots.append((tag + "|1", None, 0, chain[0][0], (tag, chain), chain[0][1]))
+            if i + 1 < n:
+                stack += [((tag, elements, latest, chain), step) for step in backwards]
+        return roots
+
+    def _forest(self, steps: list[tuple], shape: tuple) -> ForestObject:
+        """Each node's facts, named along its chain, are the relations."""
+        depth = shape[1]
+        tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in self.signature.names}
+        chain: list[str] = []
+        for node, _, _, _, _, facts in steps:
+            d = depth[node]
+            del chain[d:]
+            chain.append(node)
+            for name, offsets in facts:
+                tuples[name].add(tuple(chain[d - off] for off in offsets))
+        return ForestObject(
+            kind="pebbled",
+            signature=self.signature,
+            nodes=tuple(step[0] for step in steps),
+            parent={node: par for node, par, *_ in steps if par is not None},
+            roots=tuple(node for node, par, *_ in steps if par is None),
+            interp={name: frozenset(ts) for name, ts in tuples.items()},
+            origin={step[0]: step[2] for step in steps},
+            pebble={step[0]: step[3] for step in steps},
+            shape=shape,
+        )
+
+
+def pr_unravel(s: Structure, k: int, n: int) -> tuple[ForestObject, dict[str, str]]:
+    """The forced ``PRView`` and its counit map from nodes to placed elements."""
+    forest = PRView(s, k, n).force()
+    return forest, dict(forest.origin)
 
 
 def forest_to_dict(x: ForestObject) -> dict:
@@ -551,7 +722,7 @@ def forest_to_dict(x: ForestObject) -> dict:
         "parent": {c: p for c, p in sorted(x.parent.items())},
         "roots": list(x.roots),
     }
-    if x.pebble:
+    if x.kind == "pebbled":
         block["pebble"] = {n: x.pebble[n] for n in sorted(x.pebble)}
         # pebbled path comparisons need placement identity, which node names
         # alone do not carry
@@ -574,9 +745,10 @@ def forest_from_dict(data: dict) -> ForestObject:
 
     The block is checked in one pass: node ids are strings of the universe,
     every ``parent`` entry and root among them, and each pebble a positive
-    int.  Then a modal forest must meet condition (M) and a pebbled one, which
-    gives every node a pebble, condition (P).  Each refusal is a
-    ``FormatError`` naming the value.
+    int.  A block with a ``pebble`` object is pebbled, even an empty one, and
+    must give every node a pebble.  Then a modal forest must meet condition
+    (M) and a pebbled one condition (P).  Each refusal is a ``FormatError``
+    naming the value.
     """
     s, point, block = structure_from_dict(data)
     if block is None:
@@ -595,11 +767,11 @@ def forest_from_dict(data: dict) -> ForestObject:
     for v in pebble.values():
         if type(v) is not int or v < 1:
             raise FormatError(f"forest pebble: {v!r} is not a positive int")
-    if pebble and len(pebble) < len(universe):
+    modal = "pebble" not in block
+    kind = "modal" if modal else "pebbled"
+    if not modal and len(pebble) < len(universe):
         bare = next(n for n in s.universe if n not in pebble)
         raise FormatError(f"forest pebble: node {bare!r} has none")
-    kind = "pebbled" if pebble else "modal"
-    modal = kind == "modal"
     forest = ForestObject(
         kind=kind,
         signature=s.signature,

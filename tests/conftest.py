@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
 from linspect.oracle import gen_pointed, gen_structure, suite_signature
-from linspect.structures import Signature, Structure, dump_structure
+from linspect.structures import PointedStructure, Signature, Structure, dump_structure
 
 
 def seeded_pair(seed: int, size: int = 4, n_props: int = 1, n_actions: int = 2):
@@ -42,6 +43,40 @@ def plain_structures(draw, max_size: int = 3):
     seed = draw(st.integers(min_value=0, max_value=10**6))
     sig = Signature((("P", 1), ("R", 2)))
     return gen_structure(sig, max_size, random.Random(seed))
+
+
+@st.composite
+def modal_signatures(draw):
+    """One or two propositions and one or two actions."""
+    props = ("p", "q")[: draw(st.integers(min_value=1, max_value=2))]
+    actions = ("a", "b")[: draw(st.integers(min_value=1, max_value=2))]
+    return Signature(tuple((x, 1) for x in props) + tuple((x, 2) for x in actions), modal=True)
+
+
+@st.composite
+def modal_structures(draw, sig=None):
+    """Pointed structures over one to three states, self-loops allowed, at
+    most four pairs per action, over ``sig`` or a drawn modal signature."""
+    sig = sig or draw(modal_signatures())
+    universe = ("s0", "s1", "s2")[: draw(st.integers(min_value=1, max_value=3))]
+    elements = st.sampled_from(universe).map(lambda e: (e,))
+    interp = {x: draw(st.sets(elements)) for x in sig.propositions}
+    pairs = list(product(universe, repeat=2))
+    interp.update({x: draw(st.sets(st.sampled_from(pairs), max_size=4)) for x in sig.actions})
+    return PointedStructure(Structure(sig, universe, interp), draw(st.sampled_from(universe)))
+
+
+@st.composite
+def three_arity_structures(draw, max_size: int = 3):
+    """A unary, a binary and a ternary relation over one to ``max_size``
+    elements."""
+    universe = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=max_size))]
+    sig = Signature((("P", 1), ("R", 2), ("T", 3)))
+    interp = {
+        name: frozenset(draw(st.sets(st.sampled_from(list(product(universe, repeat=arity))))))
+        for name, arity in sig.relations
+    }
+    return Structure(sig, universe, interp)
 
 
 def line(n: int, cycle: bool) -> str:

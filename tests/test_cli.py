@@ -266,6 +266,26 @@ class TestGameAndEval:
         assert (code, out) == (2, "")
         assert err == "error: the back-and-forth game requires matching signatures\n"
 
+    def test_bf_plays_an_empty_pebbled_forest_from_a_file(self, capsys, tmp_path):
+        # at len 0 the forest has no node, so only the pebble block says that
+        # it is pebbled
+        s = Structure(Signature((("P", 1), ("R", 2))), ("x", "y"), {"R": {("x", "y")}})
+        dump_structure(s, None, str(tmp_path / "s.json"))
+        for n in (0, 1):
+            code, out, _ = run_cli(capsys, "unravel", "--comonad", "PR", "-k", "1", "--len", str(n),
+                                   str(tmp_path / "s.json"))
+            assert code == 0
+            (tmp_path / f"len{n}.json").write_text(out)
+        assert json.loads((tmp_path / "len0.json").read_text())["forest"] == {
+            "origin": {}, "parent": {}, "pebble": {}, "roots": []
+        }
+        paths = [str(tmp_path / "len0.json"), str(tmp_path / "len1.json")]
+        for argv, verdict in (
+            (paths, "SPOILER"), (paths[::-1], "SPOILER"), ([paths[0]] * 2, "DUPLICATOR")
+        ):
+            code, out, err = run_cli(capsys, "game", "--type", "bf", *argv)
+            assert (code, out, err) == (0 if verdict == "DUPLICATOR" else 1, verdict + "\n", "")
+
     def forest_file(self, capsys, tmp_path, *argv):
         """Write ``unravel`` output to clean.json and return it decoded."""
         code, out, _ = run_cli(capsys, "unravel", *argv)

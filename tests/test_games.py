@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,15 +30,33 @@ from linspect.games import (
     solve_ppeb,
 )
 from linspect.oracle import (
+    _forest_ids,
     find_morphism,
     gen_pointed,
+    gen_structure,
     suite_signature,
     workspace,
 )
 from linspect.structures import Signature, Structure, ball, load_pointed, pointed_sum
-from linspect.unravel import coreflect, ml_unravel, pr_unravel, tree_unravel
+from linspect.unravel import (
+    MLView,
+    PRView,
+    TreeView,
+    _node_count,
+    coreflect,
+    ml_unravel,
+    pr_unravel,
+    tree_unravel,
+)
 
-from conftest import line, pointed_pairs, plain_structures
+from conftest import (
+    line,
+    modal_signatures,
+    modal_structures,
+    plain_structures,
+    pointed_pairs,
+    three_arity_structures,
+)
 
 
 def cycle(n: int) -> Structure:
@@ -819,3 +838,110 @@ class TestDeepBisim:
         assert capsys.readouterr().out == (
             "FALSE\nspoiler: (('s0', 's0', 2000), ('left', 'a', 's1'))\n"
         )
+
+
+# --- views made on demand against their forced forests -----------------------
+
+MORPHISMS = ("homomorphism", "pathwise_embedding", "open_span", "isomorphism")
+
+
+def read_alike(make, a, b):
+    """Fresh views of ``a`` and ``b`` from ``make`` and their forced forests
+    give equal game results in every variant, equal to the recursive
+    reference's, equal morphism searches and equal canonical ids."""
+    forced = make(a).force(), make(b).force()
+    for variant in VARIANTS:
+        want = ref_back_and_forth(*forced, variant)
+        played = make(a), make(b)
+        assert solve_back_and_forth(*played, variant) == want
+        assert solve_back_and_forth(*forced, variant) == want
+        # forcing after a game gives the same forest
+        assert (played[0].force(), played[1].force()) == forced
+    for kind in MORPHISMS:
+        if forced[0].kind == "pebbled" and kind == "open_span":
+            for x, y in ((make(a), make(b)), forced):
+                with pytest.raises(ValueError, match="modal forests"):
+                    find_morphism(x, y, kind)
+            continue
+        assert find_morphism(make(a), make(b), kind) == find_morphism(*forced, kind)
+    for s, forest in zip((a, b), forced):
+        assert _forest_ids(make(s)) == _forest_ids(forest)
+        assert make(s).node_count() == forest.node_count()
+
+
+def capped(p, k, linear):
+    """The greatest depth up to k whose unraveling has at most 300 nodes, so
+    that the recursive reference stays fast."""
+    while k and _node_count(p, k, linear) > 300:
+        k -= 1
+    return k
+
+
+class TestViewsAgainstForcedForests:
+    @given(modal_signatures().flatmap(lambda sig: st.tuples(modal_structures(sig), modal_structures(sig))),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_ml_and_tree(self, pair, k):
+        a, b = pair
+        for view, linear in ((MLView, True), (TreeView, False)):
+            depth = min(capped(a, k, linear), capped(b, k, linear))
+            read_alike(lambda p: view(p, depth), a, b)
+            for p in pair:
+                # the isomorphism search refuses on the count alone
+                assert _node_count(p, k, linear) == len(view(p, k).force().nodes)
+
+    @given(three_arity_structures(max_size=2), three_arity_structures(max_size=2),
+           st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=30, deadline=None)
+    def test_pr(self, a, b, k, n):
+        read_alike(lambda s: PRView(s, k, n), a, b)
+
+
+# Pairs on which ``solve_ppeb`` and the game on PR forests disagree (ROADMAP
+# item 1), over (P/1, R/2) at k 2, with the verdict of a brute-force
+# comparison of the pebble-trace sets.  The views must not change it.
+PEBBLE_TRACE_SIG = Signature((("P", 1), ("R", 2)))
+ISOLATED = Structure(PEBBLE_TRACE_SIG, ("e0", "e1", "e2"), {"R": {("e0", "e1"), ("e1", "e0")}})
+STAR = Structure(PEBBLE_TRACE_SIG, ("e0", "e1", "e2"),
+                 {"R": {("e0", "e1"), ("e1", "e0"), ("e0", "e2"), ("e2", "e0")}})
+SEED_20, SEED_37 = (gen_structure(PEBBLE_TRACE_SIG, 3, random.Random(seed)) for seed in (20, 37))
+PINNED = [
+    pytest.param(ISOLATED, STAR, 2, DUPLICATOR, id="isolated-star-len2"),
+    pytest.param(ISOLATED, STAR, 3, DUPLICATOR, id="isolated-star-len3"),
+    pytest.param(SEED_20, SEED_37, 2, DUPLICATOR, id="seeds-20-37-len2"),
+    pytest.param(SEED_20, SEED_37, 3, SPOILER, id="seeds-20-37-len3"),
+]
+
+
+def pebble_traces(s, k, n):
+    """Every placement sequence's trace: per placement, the pebble and the
+    type of the configuration after it (which pebbles share an element, and
+    the facts among the pebbled elements)."""
+    traces = set()
+    for m in range(1, n + 1):
+        for seq in product([(pb, e) for pb in range(1, k + 1) for e in s.universe], repeat=m):
+            placed, trace = {}, []
+            for pb, e in seq:
+                placed[pb] = e
+                pebbles = sorted(placed)
+                shared = frozenset((p, q) for p in pebbles for q in pebbles if placed[p] == placed[q])
+                facts = frozenset(
+                    (name, combo)
+                    for name, arity in s.signature.relations
+                    for combo in product(pebbles, repeat=arity)
+                    if tuple(placed[q] for q in combo) in s.interp[name]
+                )
+                trace.append((pb, shared, facts))
+            traces.add(tuple(trace))
+    return traces
+
+
+class TestPinnedPebbleTracePairs:
+    @pytest.mark.parametrize("a, b, n, winner", PINNED)
+    def test_forest_game_verdict(self, a, b, n, winner):
+        for x, y in ((PRView(a, 2, n), PRView(b, 2, n)), (pr_unravel(a, 2, n)[0], pr_unravel(b, 2, n)[0])):
+            assert solve_back_and_forth(x, y, "full").winner == winner
+
+    @pytest.mark.parametrize("a, b, n, winner", PINNED)
+    def test_verdict_is_the_trace_comparison(self, a, b, n, winner):
+        assert (pebble_traces(a, 2, n) == pebble_traces(b, 2, n)) == (winner == DUPLICATOR)

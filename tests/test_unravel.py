@@ -24,7 +24,7 @@ from linspect.unravel import (
 )
 from linspect.oracle import pointed_iso
 
-from conftest import plain_structures, pointed_structures
+from conftest import modal_structures, plain_structures, pointed_structures, three_arity_structures
 from helpers import branch_label_multiset, counit_check, ml_node_count
 import unravel_reference as reference
 
@@ -419,34 +419,8 @@ def forest_fields(forest):
     }
 
 
-@st.composite
-def modal_structures(draw):
-    """One or two propositions and one or two actions over one to three
-    states, self-loops allowed, at most four pairs per action."""
-    universe = ("s0", "s1", "s2")[: draw(st.integers(min_value=1, max_value=3))]
-    props = ("p", "q")[: draw(st.integers(min_value=1, max_value=2))]
-    actions = ("a", "b")[: draw(st.integers(min_value=1, max_value=2))]
-    sig = Signature(tuple((x, 1) for x in props) + tuple((x, 2) for x in actions), modal=True)
-    interp = {x: draw(st.sets(st.sampled_from(universe).map(lambda e: (e,)))) for x in props}
-    pairs = list(product(universe, repeat=2))
-    interp.update({x: draw(st.sets(st.sampled_from(pairs), max_size=4)) for x in actions})
-    return PointedStructure(Structure(sig, universe, interp), draw(st.sampled_from(universe)))
-
-
-@st.composite
-def three_arity_structures(draw):
-    """A unary, a binary and a ternary relation over one to three elements."""
-    universe = ("x", "y", "z")[: draw(st.integers(min_value=1, max_value=3))]
-    sig = Signature((("P", 1), ("R", 2), ("T", 3)))
-    interp = {
-        name: frozenset(draw(st.sets(st.sampled_from(list(product(universe, repeat=arity))))))
-        for name, arity in sig.relations
-    }
-    return Structure(sig, universe, interp)
-
-
 class TestBuildersMatchTheReference:
-    """The one-walk builders against the builders they replaced
+    """The forced views against the builders they replaced
     (``tests/unravel_reference.py``): every field, in order, and the counit."""
 
     @given(modal_structures(), st.integers(min_value=0, max_value=5))
