@@ -38,6 +38,7 @@ from .unravel import (
     MLView,
     PRView,
     TreeView,
+    _ml_graft,
     _modal_forest,
     as_pointed,
     ml_graft,
@@ -553,8 +554,8 @@ def _suite_prop85(size: int, k: int, samples: int, seed: int, length: int) -> Su
 
     def problem(rng: random.Random) -> Optional[str]:
         a = gen_pointed(sig, size, rng)
-        lhs = ball(ml_graft(a, k), k)
-        rhs = as_pointed(ml_unravel(a, k)[0])
+        grafted, rhs = _ml_graft(a, k)
+        lhs = ball(grafted, k)
         return None if pointed_iso(lhs, rhs) else (
             f"no isomorphism: ball has {len(lhs.base.universe)} elements, "
             f"unraveling has {len(rhs.base.universe)}"

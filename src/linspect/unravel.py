@@ -1,5 +1,6 @@
-"""Unraveling constructions: linear modal, branching tree, branch decomposition,
-depth-bounded grafting, and the pebble-sequence forest over a general signature.
+"""Unraveling constructions: linear modal, branching tree, the coreflection
+onto linear forests, depth-bounded grafting, and the pebble-sequence forest
+over a general signature.
 
 The linear modal unraveling at depth k has one chain per *maximal* run: a run
 of length exactly k, or a shorter run ending in a terminal state.  Chains for
@@ -8,10 +9,16 @@ traces; with maximal runs only, the construction is idempotent and the grafted
 variant is complete-trace equivalent to its source.  The node count is
 therefore 1 + sum of the lengths of the maximal runs.
 
-Both modal unravelings read runs in breadth-first order.  A TREE node is
-``@`` and its run string (``point>act:state...``); an ML node is its maximal
-run's TREE id without the ``@``, plus ``|i``.  The pebble-sequence forest PR
-has one chain per pebble sequence of length <= len, maximal or not.
+A forest's linear shape is its coreflection (``coreflect``): each root is
+kept, and every leaf below it gets its own chain under it, whose node at
+depth i is named by the leaf and ``|i``.  A copy of the root per chain would
+not be a coreflection, as a linear forest with one root could then map into
+only one branch of a tree.  ML is the coreflection of TREE: a TREE node is
+``@`` and its run string (``point>act:state...``), read in breadth-first
+order, and an ML node its maximal run's TREE id without the ``@``, plus
+``|i``.  The pebble-sequence forest PR is not yet the coreflection of a
+branching pebble forest: it has one chain per pebble sequence of length <=
+len, maximal or not.
 
 Each comonad has one generator, a *view* (``MLView``, ``TreeView``,
 ``PRView``) that makes a node the first time ``children`` lists it.  A view
@@ -19,7 +26,9 @@ answers ``roots``, ``children(node)``, ``depth(node)``, ``labels`` (node ->
 the label the back-and-forth game compares) and ``node_count()``, known
 before any node is made; ``force()`` makes every node and returns the
 ``ForestObject``, which answers the same protocol.  ``ml_unravel``,
-``tree_unravel`` and ``pr_unravel`` are the forced views.  A modal node's
+``tree_unravel`` and ``pr_unravel`` are the forced views.  The coreflection
+is a view over any view or ``ForestObject``, and ``MLView`` is the
+coreflection view of a ``TreeView``.  A modal node's
 label is its valuation and incoming action (None at a root).  A pebbled
 node's label is its pebble, the other pebbles whose latest placement on its
 path holds its element, and its new facts: the relation tuples whose deepest
@@ -122,6 +131,12 @@ class ForestObject:
 
     def force(self) -> ForestObject:
         return self
+
+    def _extend(self, spec: tuple) -> list[tuple]:
+        """A node's children as a view's specs, from the node's spec."""
+        node, depth, origin, labels = spec[0], spec[2] + 1, self.origin, self.labels
+        kids = self.roots if node is None else self._children[node]
+        return [(kid, node, depth, origin.get(kid), None, labels[kid]) for kid in kids]
 
     @cached_property
     def labels(self) -> dict:
@@ -298,6 +313,32 @@ def _modal_forest(signature: Signature, steps, shape: tuple | None = None) -> Fo
     )
 
 
+def _pebbled_forest(signature: Signature, steps, shape: tuple) -> ForestObject:
+    """The pebbled forest listed by a view's ``steps``, in pre-order, each
+    ``(node, parent, origin, pebble, same, facts)``: each node's facts,
+    named along its chain, are the relations."""
+    depth = shape[1]
+    tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in signature.names}
+    chain: list[str] = []
+    for node, _, _, _, _, facts in steps:
+        d = depth[node]
+        del chain[d:]
+        chain.append(node)
+        for name, offsets in facts:
+            tuples[name].add(tuple(chain[d - off] for off in offsets))
+    return ForestObject(
+        kind="pebbled",
+        signature=signature,
+        nodes=tuple(step[0] for step in steps),
+        parent={node: par for node, par, *_ in steps if par is not None},
+        roots=tuple(node for node, par, *_ in steps if par is None),
+        interp={name: frozenset(ts) for name, ts in tuples.items()},
+        origin={step[0]: step[2] for step in steps},
+        pebble={step[0]: step[3] for step in steps},
+        shape=shape,
+    )
+
+
 def _extensions(p: PointedStructure):
     """The one-step extensions of a list of runs, per run, then action, then
     successor.  A run is its TREE node's spec ``(text, prefix's text,
@@ -323,22 +364,23 @@ def _point_run(p: PointedStructure, head: str) -> tuple:
     return (head + p.point, None, 0, p.point, None, (p.base.valuation(p.point), None))
 
 
-def _run_layers(p: PointedStructure, k: int):
-    """The runs of length <= k, one list per length, in ``runs_upto``'s order:
-    one breadth-first walk of ``_extensions``, and no ``Run``."""
-    extend = _extensions(p)
-    layer = [_point_run(p, "")]
-    for _ in range(k):
-        yield layer
-        layer = extend(layer)
-    yield layer
-
-
 _EMPTY_PATH = (None, None, -1, None, None, ())  # the spec of the empty path
 
 
+def _chain_step(spec: tuple, marks: list[str]) -> list[tuple]:
+    """The one child of a chain node, if its chain goes on.  The node reads
+    its chain's ``(tag, entries)``, one ``(origin, label)`` entry per depth,
+    and the chain's node at depth d is named by the tag and ``marks[d]``."""
+    tag, entries = spec[4]
+    depth = spec[2] + 1
+    if depth == len(entries):
+        return []
+    origin, label = entries[depth]
+    return [(tag + marks[depth], spec[0], depth, origin, spec[4], label)]
+
+
 class _View:
-    """What the three views share.  A node's spec is ``(node, parent, depth,
+    """What the views share.  A node's spec is ``(node, parent, depth,
     origin, what _extend reads, label)``; ``_extend(spec)`` lists the specs
     of the node's children, and the roots are the children of the empty
     path, whose node is None.  ``children`` keeps the specs of the nodes it
@@ -347,7 +389,7 @@ class _View:
 
     depth_first = True  # the forced node order: pre-order, else by depth
 
-    def __init__(self, kind: str, signature: Signature, count: int) -> None:
+    def __init__(self, kind: str, signature: Signature, count: int | None) -> None:
         self.kind, self.signature, self._count = kind, signature, count
         self.labels: dict = {}
         self._made: dict = {None: _EMPTY_PATH}
@@ -396,65 +438,84 @@ class _View:
         return self._forced
 
     def _forest(self, steps: list[tuple], shape: tuple) -> ForestObject:
-        return _modal_forest(self.signature, steps, shape)
+        build = _modal_forest if self.kind == "modal" else _pebbled_forest
+        return build(self.signature, steps, shape)
 
 
-class MLView(_View):
-    """Depth-k linear unraveling made on demand: one chain per maximal run.
+class _Coreflection(_View):
+    """The linear forest of a forest view or ``ForestObject`` x, made on
+    demand: its coreflection onto the linear forests.  Each root of x is
+    kept, and every leaf of x below it gets its own chain under it, whose
+    node at depth i is named ``<leaf>|i`` and carries the origin and label of
+    the leaf's path node at depth i.  A root that is a leaf has no chain.
+    ``count`` is the node count, where a caller knows it beforehand."""
 
-    The chain of a maximal run names its i-th node by the run string and
-    ``|i``, so distinct runs get disjoint chains even when they share a
-    prefix.  The root's children, the chains' heads, come from one run walk.
-    """
+    def __init__(self, x, count: int | None = None) -> None:
+        super().__init__(x.kind, x.signature, count)
+        self._x, self._marks = x, ["|0"]
+
+    def _extend(self, spec: tuple) -> list[tuple]:
+        """A root's spec is its spec in x, a chain node reads its chain."""
+        if spec[0] is None:
+            return self._x._extend(spec)
+        if spec[2]:
+            return _chain_step(spec, self._marks)
+        # the chains' heads, by x's nodes below the root, one depth at a time;
+        # an entry is (spec, (origin, label), the entry above), and a leaf's
+        # chain is read once, up its links
+        extend, marks, heads = self._x._extend, self._marks, []
+        layer = [(spec, None, None)]
+        while layer:
+            below = []
+            for entry in layer:
+                kids = extend(entry[0])
+                if kids:
+                    below += [(kid, (kid[3], kid[5]), entry) for kid in kids]
+                elif entry[2] is not None:
+                    leaf, entries = entry[0][0], []
+                    while entry[2] is not None:
+                        entries.append(entry[1])
+                        entry = entry[2]
+                    entries.append(None)  # the root's own entry, never read
+                    entries.reverse()
+                    while len(marks) < len(entries):
+                        marks.append(f"|{len(marks)}")
+                    # the head follows the root, read as the chain's node at depth 0
+                    heads += _chain_step((spec[0], None, 0, None, (leaf, entries)), marks)
+            layer = below
+        return heads
+
+
+class MLView(_Coreflection):
+    """Depth-k linear unraveling made on demand: the coreflection of the
+    depth-k TREE with no ``@`` before its run strings, so the chain of a
+    maximal run names its i-th node by the run string and ``|i``.  Its node
+    count is counted, and refused above ``UNRAVEL_NODE_BUDGET``, before the
+    TREE is made."""
 
     def __init__(self, p: PointedStructure, k: int) -> None:
         if not p.signature.modal:
             raise NonModalSignature("ml_unravel requires a modal signature")
-        super().__init__("modal", p.signature, _node_count(p, k, True, UNRAVEL_NODE_BUDGET))
-        self._p, self._k = p, k
-
-    def _extend(self, spec: tuple) -> list[tuple]:
-        """The root's spec is the point's run; a chain node reads its maximal
-        run's ``(text, runs)``, the run's prefixes from length 1."""
-        node, chain, depth = spec[0], spec[4], spec[2] + 1
-        if node is None:
-            return [_point_run(self._p, "")]
-        if chain is not None:
-            if depth > len(chain[1]):
-                return []
-            run = chain[1][depth - 1]
-            return [(f"{chain[0]}|{depth}", node, depth, run[3], chain, run[5])]
-        terminal, chains = self._p.base.is_terminal, []  # the root: one head per maximal run
-        for length, layer in enumerate(_run_layers(self._p, self._k)):
-            for run in layer:
-                if length and (length == self._k or terminal(run[3])):
-                    runs, step = [], run
-                    while step[4] is not None:
-                        runs.append(step)
-                        step = step[4]
-                    runs.reverse()
-                    chains.append((run[0], runs))
-        return [
-            (f"{text}|1", node, 1, runs[0][3], (text, runs), runs[0][5]) for text, runs in chains
-        ]
+        count = _node_count(p, k, True, UNRAVEL_NODE_BUDGET)
+        super().__init__(TreeView(p, k, ""), count)
 
 
 class TreeView(_View):
     """Depth-k synchronization tree made on demand: nodes are runs, children
-    extend by a step.  A run's node is ``@`` followed by its run string, and
-    its spec the run itself."""
+    extend by a step.  A run's node is ``head`` followed by its run string,
+    and its spec the run itself."""
 
     depth_first = False
 
-    def __init__(self, p: PointedStructure, k: int) -> None:
+    def __init__(self, p: PointedStructure, k: int, head: str = "@") -> None:
         if not p.signature.modal:
             raise NonModalSignature("tree_unravel requires a modal signature")
         super().__init__("modal", p.signature, _node_count(p, k, False, UNRAVEL_NODE_BUDGET))
-        self._p, self._extensions, self._k = p, _extensions(p), k
+        self._root, self._extensions, self._k = _point_run(p, head), _extensions(p), k
 
     def _extend(self, run: tuple) -> list[tuple]:
         if run[0] is None:
-            return [_point_run(self._p, "@")]
+            return [self._root]
         return self._extensions([run]) if run[2] < self._k else []
 
 
@@ -470,53 +531,8 @@ def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
 
 
 def coreflect(x) -> ForestObject:
-    """Branch decomposition: one disjoint chain per maximal node's down-set,
-    of the forced forest."""
-    x = x.force()
-    maximal = [n for n in x.nodes if x.is_leaf(n)]
-    nodes: list[str] = []
-    parent: dict[str, str] = {}
-    roots: list[str] = []
-    origin: dict[str, str] = {}
-    valuation: dict[str, frozenset[str]] = {}
-    action_in: dict[str, str] = {}
-    pebble: dict[str, int] = {}
-    tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in x.signature.names}
-    for b, leaf in enumerate(maximal):
-        chain = x.path_to_root(leaf)
-        rename = {orig: f"b{b}.{i}" for i, orig in enumerate(chain)}
-        for i, orig in enumerate(chain):
-            node = rename[orig]
-            nodes.append(node)
-            if i == 0:
-                roots.append(node)
-            else:
-                parent[node] = rename[chain[i - 1]]
-                if orig in x.action_in:
-                    action_in[node] = x.action_in[orig]
-            if orig in x.origin:
-                origin[node] = x.origin[orig]
-            if orig in x.valuation:
-                valuation[node] = x.valuation[orig]
-            if orig in x.pebble:
-                pebble[node] = x.pebble[orig]
-        chain_set = set(chain)
-        for name, rel in x.interp.items():
-            for t in rel:
-                if all(e in chain_set for e in t):
-                    tuples[name].add(tuple(rename[e] for e in t))
-    return ForestObject(
-        kind=x.kind,
-        signature=x.signature,
-        nodes=tuple(nodes),
-        parent=parent,
-        roots=tuple(roots),
-        interp={name: frozenset(ts) for name, ts in tuples.items()},
-        origin=origin,
-        valuation=valuation,
-        action_in=action_in,
-        pebble=pebble,
-    )
+    """The forced coreflection of a forest view or ``ForestObject``."""
+    return _Coreflection(x).force()
 
 
 def as_pointed(x: ForestObject) -> PointedStructure:
@@ -560,6 +576,12 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
     ``leaf-id/element-id``.  Above ``UNRAVEL_NODE_BUDGET`` elements, counted
     with the copies, the structure is refused before it is built.
     """
+    return _ml_graft(p, k)[0]
+
+
+def _ml_graft(p: PointedStructure, k: int) -> tuple[PointedStructure, PointedStructure]:
+    """``ml_graft``'s structure and the depth-k ML unraveling it grafts onto,
+    read as a pointed structure."""
     _node_count(p, k, True, UNRAVEL_NODE_BUDGET, graft=True)
     forest, counit = ml_unravel(p, k)
     base = as_pointed(forest)
@@ -583,14 +605,9 @@ def ml_graft(p: PointedStructure, k: int) -> PointedStructure:
         for name in p.signature.names:
             for t in part.interp[name]:
                 interp[name].add(tuple(rename[e] for e in t))
-    return PointedStructure(
-        Structure(
-            p.signature,
-            tuple(universe),
-            {name: frozenset(ts) for name, ts in interp.items()},
-        ),
-        forest.roots[0],
-    )
+    frozen = {name: frozenset(ts) for name, ts in interp.items()}
+    grafted = Structure(p.signature, tuple(universe), frozen)
+    return PointedStructure(grafted, base.point), base
 
 
 # --- pebble-sequence forest ---------------------------------------------------
@@ -639,12 +656,7 @@ class PRView(_View):
     def _extend(self, spec: tuple) -> list[tuple]:
         """A node reads its sequence's ``(tag, (element, label) per position)``."""
         if spec[4] is not None:
-            tag, chain = sequence = spec[4]
-            depth = spec[2] + 1
-            if depth == len(chain):
-                return []
-            el, label = chain[depth]
-            return [(tag + self._marks[depth], spec[0], depth, el, sequence, label)]
+            return _chain_step(spec, self._marks)
         s, k, n = self._s, self._k, len(self._marks)
         # each placement with its text, last first
         backwards = [
@@ -680,29 +692,6 @@ class PRView(_View):
             if i + 1 < n:
                 stack += [((tag, elements, latest, chain), step) for step in backwards]
         return roots
-
-    def _forest(self, steps: list[tuple], shape: tuple) -> ForestObject:
-        """Each node's facts, named along its chain, are the relations."""
-        depth = shape[1]
-        tuples: dict[str, set[tuple[str, ...]]] = {name: set() for name in self.signature.names}
-        chain: list[str] = []
-        for node, _, _, _, _, facts in steps:
-            d = depth[node]
-            del chain[d:]
-            chain.append(node)
-            for name, offsets in facts:
-                tuples[name].add(tuple(chain[d - off] for off in offsets))
-        return ForestObject(
-            kind="pebbled",
-            signature=self.signature,
-            nodes=tuple(step[0] for step in steps),
-            parent={node: par for node, par, *_ in steps if par is not None},
-            roots=tuple(node for node, par, *_ in steps if par is None),
-            interp={name: frozenset(ts) for name, ts in tuples.items()},
-            origin={step[0]: step[2] for step in steps},
-            pebble={step[0]: step[3] for step in steps},
-            shape=shape,
-        )
 
 
 def pr_unravel(s: Structure, k: int, n: int) -> tuple[ForestObject, dict[str, str]]:

@@ -1,5 +1,7 @@
-"""Definitions that only the tests read, moved out of the package unchanged:
-the linear unraveling's node count, the multiset of branch labels, the check
+"""Definitions that only the tests read, most moved out of the package
+unchanged: the linear unraveling's node count, the multiset of branch
+labels, a modal forest's branches split under copies of the root (the shape
+``coreflect`` once gave), the check
 that a forest's origin map is a homomorphism, the Gaifman distance, the
 number of traces of one length, pre-order subformulas, the ready-trace
 formula and a game witness flattened to records."""
@@ -15,7 +17,7 @@ from linspect.games import GameResult
 from linspect.logic import FF, TT, Box, Dia, Formula, _children, conj
 from linspect.structures import PointedStructure, Structure, UnknownElement, _distances_from
 from linspect.traces import ReadyTrace, TraceAutomaton, _layers
-from linspect.unravel import ForestObject, _node_count
+from linspect.unravel import ForestObject, _modal_forest, _node_count
 
 
 def ml_node_count(p: PointedStructure, k: int) -> int:
@@ -35,6 +37,19 @@ def branch_label_multiset(x: ForestObject) -> Counter:
         )
         out[labels] += 1
     return out
+
+
+def split_branches(x: ForestObject) -> ForestObject:
+    """Each branch of a modal forest as its own chain, with its own copy of
+    the root: a forest with one root per leaf.  Node i of branch b is
+    ``b<b>.<i>``."""
+    steps = []
+    for b, leaf in enumerate(n for n in x.nodes if x.is_leaf(n)):
+        steps += [
+            (f"b{b}.{i}", f"b{b}.{i - 1}" if i else None, x.origin[n], x.valuation[n], x.action_in.get(n))
+            for i, n in enumerate(x.path_to_root(leaf))
+        ]
+    return _modal_forest(x.signature, steps)
 
 
 @dataclass(frozen=True)

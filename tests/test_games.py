@@ -57,6 +57,7 @@ from conftest import (
     pointed_pairs,
     three_arity_structures,
 )
+from helpers import split_branches
 
 
 def cycle(n: int) -> Structure:
@@ -166,7 +167,7 @@ class TestBackAndForth:
 
     def test_multi_rooted_modal_forests(self):
         # the roots are Spoiler's first moves from the empty paths
-        x = coreflect(tree_unravel(fix2(), 2))
+        x = split_branches(tree_unravel(fix2(), 2))
         y = tree_unravel(fix2(), 2)
         assert len(x.roots) > 1
         res = solve_back_and_forth(x, x, "full")

@@ -38,13 +38,13 @@ from linspect.unravel import (
     ForestObject,
     _modal_forest,
     as_pointed,
-    coreflect,
     ml_unravel,
     pr_unravel,
     tree_unravel,
 )
 
 from conftest import plain_structures, pointed_pairs, pointed_structures, seeded_pair
+from helpers import split_branches
 
 
 class TestFindMorphism:
@@ -115,7 +115,8 @@ class TestFindMorphism:
         assert check_open_embedding(z, y, {"<r1;s1>": "s1"})
 
     def test_open_span_of_a_coreflected_tree(self):
-        x = coreflect(tree_unravel(fix2(), 2))
+        # the tree's branches split apart, each under its own copy of the root
+        x = split_branches(tree_unravel(fix2(), 2))
         assert len(x.roots) > 1
         witness = find_morphism(x, x, "open_span")
         assert witness is not None

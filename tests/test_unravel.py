@@ -10,6 +10,7 @@ from linspect.structures import PointedStructure, Signature, Structure, ball, va
 from linspect.traces import check_trace_relation, maximal_runs
 from linspect.unravel import (
     ForestObject,
+    MLView,
     _node_count,
     as_pointed,
     check_condition_p,
@@ -22,9 +23,15 @@ from linspect.unravel import (
     pr_unravel,
     tree_unravel,
 )
-from linspect.oracle import pointed_iso
+from linspect.oracle import find_morphism, pointed_iso
 
-from conftest import modal_structures, plain_structures, pointed_structures, three_arity_structures
+from conftest import (
+    modal_structures,
+    plain_structures,
+    pointed_pairs,
+    pointed_structures,
+    three_arity_structures,
+)
 from helpers import branch_label_multiset, counit_check, ml_node_count
 import unravel_reference as reference
 
@@ -117,8 +124,8 @@ class TestCoreflect:
 
     def test_fix2_tree_decomposes(self):
         got = coreflect(tree_unravel(fix2(), 2))
-        assert got.node_count() == 6  # two disjoint 3-chains
-        assert len(got.roots) == 2
+        assert got.node_count() == 5  # the root kept, with two 2-chains below it
+        assert len(got.roots) == 1
         assert got.linear
 
     def test_single_root(self):
@@ -142,6 +149,28 @@ class TestCoreflect:
         tree_branches = branch_label_multiset(tree_unravel(p, k))
         linear_branches = branch_label_multiset(ml_unravel(p, k)[0])
         assert tree_branches == linear_branches
+
+
+def assert_universal(a, b, k):
+    """A linear forest maps into the tree exactly when it maps into the
+    tree's coreflection."""
+    tree = tree_unravel(b, k)
+    for kind in ("homomorphism", "pathwise_embedding"):
+        into_tree = find_morphism(MLView(a, k), tree, kind) is not None
+        assert (find_morphism(MLView(a, k), coreflect(tree), kind) is not None) == into_tree, kind
+
+
+class TestCoreflectIsUniversal:
+    def test_fix2_at_two(self):
+        # ML(fix2, 2) maps into TREE(fix2, 2); a copy of the root per chain
+        # would leave it no image in the coreflection
+        assert find_morphism(MLView(fix2(), 2), tree_unravel(fix2(), 2), "homomorphism")
+        assert_universal(fix2(), fix2(), 2)
+
+    @given(pointed_pairs(max_size=3), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_forests_map_into_the_coreflection(self, pair, k):
+        assert_universal(*pair, k)
 
 
 class TestMlGraft:
