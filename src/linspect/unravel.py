@@ -448,9 +448,10 @@ class _Coreflection(_View):
     kept, and every leaf of x below it gets its own chain under it, whose
     node at depth i is named ``<leaf>|i`` and carries the origin and label of
     the leaf's path node at depth i.  A root that is a leaf has no chain.
-    ``count`` is the node count, where a caller knows it beforehand."""
+    ``count`` is the node count: x's roots and, per leaf below a root, the
+    leaf's depth."""
 
-    def __init__(self, x, count: int | None = None) -> None:
+    def __init__(self, x, count: int) -> None:
         super().__init__(x.kind, x.signature, count)
         self._x, self._marks = x, ["|0"]
 
@@ -491,26 +492,32 @@ class MLView(_Coreflection):
     depth-k TREE with no ``@`` before its run strings, so the chain of a
     maximal run names its i-th node by the run string and ``|i``.  Its node
     count is counted, and refused above ``UNRAVEL_NODE_BUDGET``, before the
-    TREE is made."""
+    TREE is made.  Every run lies on a maximal run, so the TREE has no more
+    nodes than ML and is not counted again."""
 
     def __init__(self, p: PointedStructure, k: int) -> None:
         if not p.signature.modal:
             raise NonModalSignature("ml_unravel requires a modal signature")
         count = _node_count(p, k, True, UNRAVEL_NODE_BUDGET)
-        super().__init__(TreeView(p, k, ""), count)
+        super().__init__(TreeView(p, k, "", count), count)
 
 
 class TreeView(_View):
     """Depth-k synchronization tree made on demand: nodes are runs, children
     extend by a step.  A run's node is ``head`` followed by its run string,
-    and its spec the run itself."""
+    and its spec the run itself.  The node count is counted, and refused
+    above ``UNRAVEL_NODE_BUDGET``, unless ``count`` is given: ``MLView``
+    gives its own, which has passed the budget and bounds the tree's, and
+    never asks its TREE for a count."""
 
     depth_first = False
 
-    def __init__(self, p: PointedStructure, k: int, head: str = "@") -> None:
+    def __init__(self, p: PointedStructure, k: int, head: str = "@", count: int | None = None) -> None:
         if not p.signature.modal:
             raise NonModalSignature("tree_unravel requires a modal signature")
-        super().__init__("modal", p.signature, _node_count(p, k, False, UNRAVEL_NODE_BUDGET))
+        if count is None:
+            count = _node_count(p, k, False, UNRAVEL_NODE_BUDGET)
+        super().__init__("modal", p.signature, count)
         self._root, self._extensions, self._k = _point_run(p, head), _extensions(p), k
 
     def _extend(self, run: tuple) -> list[tuple]:
@@ -532,7 +539,9 @@ def tree_unravel(p: PointedStructure, k: int) -> ForestObject:
 
 def coreflect(x) -> ForestObject:
     """The forced coreflection of a forest view or ``ForestObject``."""
-    return _Coreflection(x).force()
+    x = x.force()
+    count = len(x.roots) + sum(x.depth(n) for n in x.nodes if x.is_leaf(n))
+    return _Coreflection(x, count).force()
 
 
 def as_pointed(x: ForestObject) -> PointedStructure:

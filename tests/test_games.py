@@ -808,7 +808,12 @@ class TestAgainstRecursiveReferences:
     def test_morphism_mappings(self, pair, k):
         a, b = pair
         ta, tb = tree_unravel(a, k), tree_unravel(b, k)
-        for x, y in ((ml_unravel(a, k)[0], ml_unravel(b, k)[0]), (ta, tb), (coreflect(ta), coreflect(tb))):
+        for x, y in (
+            (ml_unravel(a, k)[0], ml_unravel(b, k)[0]),
+            (ta, tb),
+            (coreflect(ta), coreflect(tb)),
+            (split_branches(ta), split_branches(tb)),
+        ):
             for kind in ("homomorphism", "pathwise_embedding"):
                 found = find_morphism(x, y, kind)
                 assert (found and found.mapping) == ref_modal_mapping(x, y, kind)
