@@ -15,10 +15,11 @@ formula that its ``distinguish`` printed on the same tree, then the
 ``verify`` reports of the suites that read synthesized formulas
 (thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) and of the suites that
 play on forests (thm48, lemma313, prop85 and thm54 at the ``crosscheck``
-workload's size, k and len, 20 samples each) at seeds 1-3, then ``game
---type bf`` in all three variants on every ordered pair of the fixtures'
-``unravel`` files (ML and TREE at k 3, PR at k 1 and len 2), each tree
-playing on the files that it wrote, then ``check`` on malformed copies of
+workload's size, k and len, 20 samples each) and of prop85's window
+isomorphism at size 3, k 2 and at size 6, k 3 (20 samples each), at seeds
+1-3, then ``game --type bf`` in all three variants on every ordered pair of
+the fixtures' ``unravel`` files (ML and TREE at k 3, PR at k 1 and len 2),
+each tree playing on the files that it wrote, then ``check`` on malformed copies of
 ``fixtures/fix1.json`` (a duplicate element, an unknown relation, an arity
 mismatch, an unknown element, a point outside the universe, a missing
 field), whose error text must not change.  Prints the first difference and
@@ -46,7 +47,7 @@ WORKLOAD_NAMES = ("explain", "decide", "deep", "crosscheck")
 SUITES = (
     ("thm61", 5, 4, 4, 50), ("cor74", 3, 1, 4, 50), ("cor74", 3, 2, 4, 50),
     ("thm48", 5, 4, 4, 20), ("lemma313", 6, 4, 4, 20), ("prop85", 5, 4, 4, 20),
-    ("thm54", 2, 2, 3, 20),
+    ("thm54", 2, 2, 3, 20), ("prop85", 3, 2, 4, 20), ("prop85", 6, 3, 4, 20),
 )
 # the unravel command line of each forest file that ``game --type bf`` plays
 FORESTS = (("ML", "-k", "3"), ("TREE", "-k", "3"), ("PR", "-k", "1", "--len", "2"))

@@ -289,6 +289,14 @@ def parse_formula(text: str) -> Formula:
         if tok != expected:
             raise FormulaSyntaxError(f"expected {expected!r}, found {tok!r}", i)
 
+    def name(what: str) -> str:
+        """The next token, which names an action, a proposition or a
+        comparator, so it may not be a parenthesis."""
+        i, tok = next(stream)
+        if tok == "(" or tok == ")":
+            raise FormulaSyntaxError(f"expected {what}, found {tok!r}", i)
+        return tok
+
     def parse(i: int, tok: str) -> Formula:
         if tok != "(":
             if tok == "tt":
@@ -300,7 +308,7 @@ def parse_formula(text: str) -> Formula:
             return Prop(tok)
         i, head = next(stream)
         if head == "dia" or head == "box":
-            _, action = next(stream)
+            action = name("an action")
             i, tok = next(stream)
             body = parse(i, tok)
             take(")")
@@ -313,15 +321,15 @@ def parse_formula(text: str) -> Formula:
                 i, tok = next(stream)
             return (And if head == "and" else Or)(tuple(items))
         if head == "not":
-            _, name = next(stream)
+            prop = name("a proposition")
             take(")")
-            return NegProp(name)
+            return NegProp(prop)
         if head == "gdia":
-            _, cmp = next(stream)
+            cmp = name("a comparator")
             i, count = next(stream)
             if not count.isdigit():
                 raise FormulaSyntaxError("graded bound must be a natural", i)
-            _, action = next(stream)
+            action = name("an action")
             i, tok = next(stream)
             body = parse(i, tok)
             take(")")

@@ -1,12 +1,14 @@
-"""Brute-force reference implementations (morphism / embedding / span /
-isomorphism search over forest objects) and the executable verification suites.
+"""Reference implementations (morphism / embedding / span / isomorphism
+search over forest objects) and the executable verification suites.
 
 Homomorphisms and pathwise embeddings of forests are read off the
 existential(-positive) back-and-forth game, and spans of open pathwise
 embeddings off the full game: the positions Duplicator's strategy reaches
 are the mediator.  One bottom-up labelling,
-``_canon_ids``, decides isomorphism of forests and of tree-shaped pointed
-structures at any depth.
+``_canon_ids``, decides isomorphism of forests at any depth, and
+``pointed_iso`` decides isomorphism with a tree-shaped pointed structure (an
+unraveling read as one, in prop85's window check and the chain replay) by
+the same labelling, with no search.
 
 Every suite draws reproducible samples via the seed protocol
 ``seed + sample_index`` and evaluates each claim through independent code
@@ -17,7 +19,6 @@ the one seeded loop ``_sampled``.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -436,117 +437,15 @@ def _pointed_tree_canon(p: PointedStructure) -> Optional[tuple]:
 
 
 def pointed_iso(p: PointedStructure, q: PointedStructure) -> bool:
-    """Isomorphism of pointed structures: canonical forms for tree-shaped
-    inputs, exhaustive backtracking otherwise.  The search grows the mapping
-    outwards from the point along shared tuples, and tries for each element
-    only the neighbours of its anchor's image, so a connected structure is
-    matched one neighbour at a time."""
-    if p.signature != q.signature:
-        return False
-    if len(p.base.universe) != len(q.base.universe):
-        return False
+    """Isomorphism with a tree-shaped pointed structure, by canonical
+    labelling: the signatures and the ``_pointed_tree_canon`` forms are
+    equal.  A structure that is not a tree is isomorphic to no tree, so one
+    tree side decides; two structures that are both not trees are refused
+    with a ``ValueError``."""
     cp, cq = _pointed_tree_canon(p), _pointed_tree_canon(q)
-    if (cp is None) != (cq is None):
-        return False
-    if cp is not None:
-        return cp == cq
-    sig = p.signature
-
-    def profiles(s: Structure) -> dict[str, tuple]:
-        """Each element's degree at each position of each relation, from one
-        pass over the tuples."""
-        degs = {e: [[0] * arity for _, arity in sig.relations] for e in s.universe}
-        for r, (name, _) in enumerate(sig.relations):
-            for t in s.interp[name]:
-                for pos, e in enumerate(t):
-                    degs[e][r][pos] += 1
-        return {e: tuple(map(tuple, d)) for e, d in degs.items()}
-
-    pprof, qprof = profiles(p.base), profiles(q.base)
-    if sorted(pprof.values()) != sorted(qprof.values()):
-        return False
-
-    alike: dict[tuple, list[str]] = {}  # profile -> the elements of q with it, in order
-    for f in q.base.universe:
-        alike.setdefault(qprof[f], []).append(f)
-    p_tuples_of: dict[str, list[tuple[str, tuple]]] = {e: [] for e in p.base.universe}
-    q_tuples_of: dict[str, list[tuple[str, tuple]]] = {f: [] for f in q.base.universe}
-    for name, _ in sig.relations:
-        for t in p.base.interp[name]:
-            for e in set(t):
-                p_tuples_of[e].append((name, t))
-        for t in q.base.interp[name]:
-            for f in set(t):
-                q_tuples_of[f].append((name, t))
-
-    # the point first, then always an element sharing a tuple with one already
-    # ordered, its anchor, so that only the anchor's image's neighbours are
-    # tried for it; ties and new components go by (profile, name)
-    order: list[str] = []
-    placed: set[str] = set()
-    anchor: dict[str, str] = {}
-    rest = iter(sorted(p.base.universe, key=lambda e: (pprof[e], e)))
-    frontier = [(pprof[p.point], p.point)]
-    while len(order) < len(p.base.universe):
-        if not frontier:
-            e = next(e for e in rest if e not in placed)
-            frontier.append((pprof[e], e))
-        _, e = heapq.heappop(frontier)
-        if e in placed:
-            continue
-        placed.add(e)
-        order.append(e)
-        for _, t in p_tuples_of[e]:
-            for x in t:
-                if x not in placed:
-                    anchor.setdefault(x, e)
-                    heapq.heappush(frontier, (pprof[x], x))
-    q_next = {
-        f: list(dict.fromkeys(x for _, t in q_tuples_of[f] for x in t)) for f in q.base.universe
-    }
-
-    def images(e: str, mapping: dict[str, str]) -> list[str]:
-        if e in anchor:
-            return [f for f in q_next[mapping[anchor[e]]] if qprof[f] == pprof[e]]
-        return alike[pprof[e]]
-
-    def consistent(e: str, mapping: dict[str, str], inverse: dict[str, str]) -> bool:
-        for name, t in p_tuples_of[e]:
-            if all(x in mapping for x in t):
-                if tuple(mapping[x] for x in t) not in q.base.interp[name]:
-                    return False
-        f = mapping[e]
-        for name, t in q_tuples_of[f]:
-            if all(x in inverse for x in t):
-                if tuple(inverse[x] for x in t) not in p.base.interp[name]:
-                    return False
-        return True
-
-    # depth first along order: stack[i] iterates the images left to try for
-    # order[i], which stays mapped while the later elements are tried
-    mapping: dict[str, str] = {}
-    inverse: dict[str, str] = {}
-    stack = [iter(images(order[0], mapping))]
-    while stack:
-        e = order[len(stack) - 1]
-        if e in mapping:  # no later element fits: undo this choice
-            del inverse[mapping.pop(e)]
-        for f in stack[-1]:
-            if f in inverse or (e == p.point) != (f == q.point):
-                continue
-            mapping[e] = f
-            inverse[f] = e
-            if consistent(e, mapping, inverse):
-                break
-            del mapping[e]
-            del inverse[f]
-        else:
-            stack.pop()
-            continue
-        if len(stack) == len(order):
-            return True
-        stack.append(iter(images(order[len(stack)], mapping)))
-    return False
+    if cp is None and cq is None:
+        raise ValueError("pointed_iso needs a tree-shaped structure on one side")
+    return p.signature == q.signature and cp == cq
 
 
 def _suite_prop85(size: int, k: int, samples: int, seed: int, length: int) -> SuiteReport:

@@ -370,12 +370,25 @@ def structure_from_dict(data: dict) -> tuple[Structure, Optional[str], Optional[
     sig_data = data["signature"]
     if not isinstance(sig_data, dict) or set(sig_data) - _SIG_FIELDS:
         raise FormatError("bad signature block")
+    relations, modal = sig_data.get("relations", []), sig_data.get("modal", False)
+    if not isinstance(relations, list):
+        raise FormatError(f"signature: relations must be a list, not {relations!r}")
+    if type(modal) is not bool:
+        raise FormatError(f"signature: modal must be true or false, not {modal!r}")
     rels = []
-    for rel in sig_data.get("relations", []):
+    for rel in relations:
         if not isinstance(rel, dict) or set(rel) - _REL_FIELDS:
             raise FormatError("bad relation entry")
-        rels.append((str(rel["name"]), int(rel["arity"])))
-    sig = Signature(tuple(rels), modal=bool(sig_data.get("modal", False)))
+        for required in ("name", "arity"):
+            if required not in rel:
+                raise FormatError(f"relation entry {rel!r}: missing field {required!r}")
+        name, arity = rel["name"], rel["arity"]
+        if type(name) is not str:
+            raise FormatError(f"relation entry: name must be a string, not {name!r}")
+        if type(arity) is not int:
+            raise FormatError(f"relation {name!r}: arity must be an integer, not {arity!r}")
+        rels.append((name, arity))
+    sig = Signature(tuple(rels), modal=modal)
     universe, interp = data["universe"], data["interp"]
     if not isinstance(universe, list):
         raise FormatError("universe must be a list")

@@ -339,31 +339,6 @@ def _pebbled_forest(signature: Signature, steps, shape: tuple) -> ForestObject:
     )
 
 
-def _extensions(p: PointedStructure):
-    """The one-step extensions of a list of runs, per run, then action, then
-    successor.  A run is its TREE node's spec ``(text, prefix's text,
-    length, state, prefix, (valuation, action))``: ``text`` is a head
-    followed by the run string ``point>act:state>act:state...``, ``state``
-    its end, with that state's valuation and the last action as its label,
-    and ``prefix`` the run it extends."""
-    successors, valuation, actions = p.base.successors, p.base.valuation, p.signature.actions
-
-    def extend(runs: list[tuple]) -> list[tuple]:
-        return [
-            (f"{run[0]}>{act}:{t}", run[0], run[2] + 1, t, run, (valuation(t), act))
-            for run in runs
-            for act in actions
-            for t in successors(run[3], act)
-        ]
-
-    return extend
-
-
-def _point_run(p: PointedStructure, head: str) -> tuple:
-    """The run of length 0, with no prefix and no action."""
-    return (head + p.point, None, 0, p.point, None, (p.base.valuation(p.point), None))
-
-
 _EMPTY_PATH = (None, None, -1, None, None, ())  # the spec of the empty path
 
 
@@ -504,11 +479,15 @@ class MLView(_Coreflection):
 
 class TreeView(_View):
     """Depth-k synchronization tree made on demand: nodes are runs, children
-    extend by a step.  A run's node is ``head`` followed by its run string,
-    and its spec the run itself.  The node count is counted, and refused
-    above ``UNRAVEL_NODE_BUDGET``, unless ``count`` is given: ``MLView``
-    gives its own, which has passed the budget and bounds the tree's, and
-    never asks its TREE for a count."""
+    extend by a step, per action, then successor.  A run is its node's spec
+    ``(text, prefix's text, length, state, prefix, (valuation, action))``:
+    ``text`` is ``head`` followed by the run string
+    ``point>act:state>act:state...``, ``state`` its end, with that state's
+    valuation and the last action as its label, and ``prefix`` the run it
+    extends.  The node count is counted, and refused above
+    ``UNRAVEL_NODE_BUDGET``, unless ``count`` is given: ``MLView`` gives its
+    own, which has passed the budget and bounds the tree's, and never asks
+    its TREE for a count."""
 
     depth_first = False
 
@@ -518,12 +497,22 @@ class TreeView(_View):
         if count is None:
             count = _node_count(p, k, False, UNRAVEL_NODE_BUDGET)
         super().__init__("modal", p.signature, count)
-        self._root, self._extensions, self._k = _point_run(p, head), _extensions(p), k
+        self._successors, self._valuation = p.base.successors, p.base.valuation
+        self._actions, self._k = p.signature.actions, k
+        # the run of length 0, with no prefix and no action
+        self._root = (head + p.point, None, 0, p.point, None, (self._valuation(p.point), None))
 
     def _extend(self, run: tuple) -> list[tuple]:
         if run[0] is None:
             return [self._root]
-        return self._extensions([run]) if run[2] < self._k else []
+        if run[2] >= self._k:
+            return []
+        successors, valuation, text = self._successors, self._valuation, run[0]
+        return [
+            (f"{text}>{act}:{t}", text, run[2] + 1, t, run, (valuation(t), act))
+            for act in self._actions
+            for t in successors(run[3], act)
+        ]
 
 
 def ml_unravel(p: PointedStructure, k: int) -> tuple[ForestObject, dict[str, str]]:

@@ -449,6 +449,10 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "eval", "--formula", "(dia zz tt)", fx("fix4"))
         assert code == 2
 
+    def test_parenthesis_as_action_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--formula", "(dia ) tt)", fx("fix4"))
+        assert (code, out, err) == (2, "", "error: expected an action, found ')' (at token 2)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -516,7 +520,9 @@ class TestErrorPaths:
 
 
 class TestNonStringIds:
-    """Element ids must be JSON strings; any other value is refused with exit 2."""
+    """Element ids must be JSON strings, and a signature block's names,
+    arities and modal flag strings, integers and booleans; any other value
+    is refused with exit 2, never coerced."""
 
     @staticmethod
     def data() -> dict:
@@ -534,8 +540,17 @@ class TestNonStringIds:
             ("interp", {"p": [["0"]], "a": [["0", 1]]}, "interp 'a': element ids must be strings, not 1"),
             ("point", 0, "point: element ids must be strings, not 0"),
             ("interp", {"p": [["0"]], "a": [["0", ["1"]]]}, "interp 'a': element ids must be strings, not ['1']"),
+            ("signature", {"relations": [{"arity": 2}]}, "relation entry {'arity': 2}: missing field 'name'"),
+            ("signature", {"relations": [{"name": "a"}]}, "relation entry {'name': 'a'}: missing field 'arity'"),
+            ("signature", {"relations": [{"name": 5, "arity": 2}]}, "relation entry: name must be a string, not 5"),
+            ("signature", {"relations": [{"name": "a", "arity": "2"}]}, "relation 'a': arity must be an integer, not '2'"),
+            ("signature", {"relations": [{"name": "a", "arity": 2.9}]}, "relation 'a': arity must be an integer, not 2.9"),
+            ("signature", {"relations": [{"name": "a", "arity": True}]}, "relation 'a': arity must be an integer, not True"),
+            ("signature", {"modal": "false"}, "signature: modal must be true or false, not 'false'"),
+            ("signature", {"relations": {"a": 2}}, "signature: relations must be a list, not {'a': 2}"),
         ],
-        ids=["universe", "tuple", "point", "list-in-tuple"],
+        ids=["universe", "tuple", "point", "list-in-tuple", "no-name", "no-arity", "int-name", "string-arity",
+             "float-arity", "bool-arity", "string-modal", "relations-object"],
     )
     def test_refused_with_exit_two(self, capsys, tmp_path, field, value, message):
         data = self.data()

@@ -83,6 +83,23 @@ class TestGrammar:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("tt tt")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(box ( p)", "expected an action, found '(' (at token 2)"),
+            ("(dia ) tt)", "expected an action, found ')' (at token 2)"),
+            ("(not ()", "expected a proposition, found '(' (at token 2)"),
+            ("(not ))", "expected a proposition, found ')' (at token 2)"),
+            ("(gdia ( 1 a tt)", "expected a comparator, found '(' (at token 2)"),
+            ("(gdia >= 1 ) tt)", "expected an action, found ')' (at token 4)"),
+        ],
+        ids=["box-action", "dia-action", "not-open", "not-close", "gdia-comparator", "gdia-action"],
+    )
+    def test_parenthesis_is_no_name(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
     @given(formulas)
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, f):
