@@ -11,7 +11,9 @@ each of the four fragments at k 0-4, then ``unravel`` of every fixture with
 ``--comonad`` ML, TREE and GRAFT at k 0-4 and PR at k 1-2 and len 0-3, then
 every operation of the benchmark's ``explain``, ``decide``, ``deep`` and
 ``crosscheck`` workloads at seeds 1-3, in order, each ``eval`` given the
-formula that its ``distinguish`` printed on the same tree, then the
+formula that its ``distinguish`` printed on the same tree, with
+``distinguish --fragment graded`` at k 0-4 in both orders on every pair of
+the ``explain`` workload after that workload's operations, then the
 ``verify`` reports of the suites that read synthesized formulas
 (thm61 at size 5, k 4; cor74 at size 3, k 1 and 2) and of the suites that
 play on forests (thm48, lemma313, prop85 and thm54 at the ``crosscheck``
@@ -106,6 +108,15 @@ def commands(workdir: Path) -> list[dict]:
                 argv = [str(workdir / f"{seed}-{a}") if a in wl.files else a for a in op.argv]
                 source = None if op.source is None else base + op.source
                 out.append({"argv": argv, "source": source, "formula": FORMULA})
+            if workload == "explain":
+                pairs = dict.fromkeys(op.expect["files"] for op in wl.ops if "files" in op.expect)
+                out += [
+                    {"argv": ["distinguish", "--fragment", "graded", "-k", str(k),
+                              str(workdir / f"{seed}-{x}"), str(workdir / f"{seed}-{y}")], "source": None}
+                    for left, right in pairs
+                    for k in BOUNDS
+                    for x, y in ((left, right), (right, left))
+                ]
     out += [
         {"argv": ["verify", "--suite", suite, "--size", str(size), "-k", str(k), "--len", str(n),
                   "--samples", str(samples), "--seed", str(seed)], "source": None}

@@ -20,7 +20,11 @@ interned integer id of a ``_Plan``, with its extension on the structures'
 the id is made.  ``synth_trace_formula`` and ``synth_characteristic`` build
 the nodes of their ids; ``synth_distinguishing`` selects among candidate ids
 by these values and builds formulas only for the separating candidates of
-the least length.
+the least length.  Graded candidates are made under a running bound, the
+least length of a candidate made so far that separates the pair and holds
+on the holder; a candidate is skipped only when it is longer than that
+bound, so it cannot change the printed formula, the least text among the
+least-length holder-separating candidates.
 
 Grammar (s-expressions):
 
@@ -290,8 +294,8 @@ def parse_formula(text: str) -> Formula:
             raise FormulaSyntaxError(f"expected {expected!r}, found {tok!r}", i)
 
     def name(what: str) -> str:
-        """The next token, which names an action, a proposition or a
-        comparator, so it may not be a parenthesis."""
+        """The next token, which names an action or a proposition, so it may
+        not be a parenthesis."""
         i, tok = next(stream)
         if tok == "(" or tok == ")":
             raise FormulaSyntaxError(f"expected {what}, found {tok!r}", i)
@@ -325,7 +329,9 @@ def parse_formula(text: str) -> Formula:
             take(")")
             return NegProp(prop)
         if head == "gdia":
-            cmp = name("a comparator")
+            i, cmp = next(stream)
+            if cmp != ">=" and cmp != "<=":
+                raise FormulaSyntaxError(f"expected a comparator, found {cmp!r}", i)
             i, count = next(stream)
             if not count.isdigit():
                 raise FormulaSyntaxError("graded bound must be a natural", i)
@@ -986,31 +992,67 @@ def _graded_candidates(
 ) -> tuple[_Plan, list[int]]:
     """The plan of the graded-fragment candidates read off every run up to
     length k of each structure in turn, and the distinct candidate ids in
-    order of first appearance.  Per run: its graded trace formula, and its
-    plain-diamond chain with the first 0 to len(run) transitions graded (=,
-    >= or <= the raw successor count), ending in the endpoint's literals
-    alone or, below length k, together with the endpoint's exact successor
-    profile."""
+    order of first appearance.  Per run and end: the run's plain-diamond
+    chain with the first 0 to len(run) transitions graded (=, >= or <= the
+    raw successor count), ending in the endpoint's literals alone or, below
+    length k, together with the endpoint's exact successor profile; with the
+    bare end, also the run's graded trace formula.
+
+    ``structures[0]`` is the holder.  ``bound`` is the least text length of
+    the candidates made so far that hold there, fail at ``structures[1]``
+    and are no deeper than k (branch and bound: Land and Doig, Econometrica
+    1960).  Every graded candidate of a (run, end), the graded trace formula
+    included, is longer than the plain chain ``chain[0]``, since a ``gdia``
+    or ``exact`` node's text is longer than a ``dia`` node's over the same
+    body, and the tails ``chain[i]``, i >= 1, are shorter than ``chain[0]``.
+    So each chain is built from the end and its (run, end) dropped once a
+    tail reaches ``bound``; a completed ``chain[0]`` is kept even at length
+    ``bound``, and its graded candidates are skipped when it reaches
+    ``bound``.  A candidate is skipped only when it is longer than some
+    holder-separating one, so it cannot change the printed formula, the
+    least text among the least-length holder-separating candidates."""
     plan = _Plan(structures)
+    mask, length = plan.mask, plan.length
+    at_holder, at_other = plan.model.points
     candidates: list[int] = []
+    bound = float("inf")
+
+    def offer(i: int) -> None:
+        nonlocal bound
+        candidates.append(i)
+        if (
+            length[i] < bound
+            and mask[i] >> at_holder & 1
+            and not mask[i] >> at_other & 1
+            and plan.depth[i] <= k
+        ):
+            bound = length[i]
+
     for j, p in enumerate(structures):
         actions, succ, val = p.signature.actions, plan.successors(j), plan.literals(j, False)
         for run in runs_upto(p, k):
             n, states, acts = len(run), run.states, run.actions
-            candidates.append(plan.trace(j, run, "Graded"))
-            counts = [succ[(states[i], acts[i])].bit_count() for i in range(n)]
             ends: list[tuple[int, ...]] = [()]
             if n < k:
                 profile = (plan.exact(g, succ[(run.last, g)].bit_count(), plan.tt) for g in actions)
                 ends.append(tuple(profile))
             for extra in ends:
-                # chain[i] reads the run from state i on with plain diamonds
+                # chain[i] reads the run from state i on with plain diamonds,
+                # built from the end while its tails stay shorter than bound
                 chain = [plan.step(val[run.last], extra)]
-                for i in range(n - 1, -1, -1):
+                while len(chain) <= n and length[chain[-1]] < bound:
+                    i = n - len(chain)
                     chain.append(plan.step(val[states[i]], (plan.dia(acts[i], chain[-1]),)))
+                if len(chain) <= n:
+                    continue
                 chain.reverse()
-                candidates.append(chain[0])
+                offer(chain[0])
+                if length[chain[0]] >= bound:
+                    continue
+                if not extra:
+                    offer(plan.trace(j, run, "Graded"))
                 # grade the first `levels` transitions on top of the chain
+                counts = [succ[(states[i], acts[i])].bit_count() for i in range(n)]
                 for mode in ("=", ">=", "<="):
                     for levels in range(1, n + 1):
                         body = chain[levels]
@@ -1020,7 +1062,7 @@ def _graded_candidates(
                             else:
                                 node = plan.gdia(mode, counts[i], acts[i], body)
                             body = plan.step(val[states[i]], (node,))
-                        candidates.append(body)
+                        offer(body)
     return plan, list(dict.fromkeys(candidates))
 
 
@@ -1040,7 +1082,11 @@ def synth_distinguishing(
     separates it.  Each id's extension mask gives its values at the two
     points and its text length is known by arithmetic, so only the winning
     pool's candidates of the least length are built, and the least text
-    among them is returned.
+    among them is returned.  ``_graded_candidates`` skips only candidates
+    longer than a holder-separating one that it made before them, so it
+    cannot change the printed formula: the least-length holder-separating
+    candidates, ties included, are all made, and when there is none nothing
+    is skipped.
     """
     if fragment not in SYNTH_FRAGMENTS:
         raise ValueError(f"fragment {fragment!r} is not a synthesis target")

@@ -368,8 +368,10 @@ def structure_from_dict(data: dict) -> tuple[Structure, Optional[str], Optional[
         if required not in data:
             raise FormatError(f"missing field {required!r}")
     sig_data = data["signature"]
-    if not isinstance(sig_data, dict) or set(sig_data) - _SIG_FIELDS:
-        raise FormatError("bad signature block")
+    if not isinstance(sig_data, dict):
+        raise FormatError(f"signature must be an object, not {sig_data!r}")
+    if set(sig_data) - _SIG_FIELDS:
+        raise FormatError(f"signature: unknown fields: {sorted(set(sig_data) - _SIG_FIELDS)}")
     relations, modal = sig_data.get("relations", []), sig_data.get("modal", False)
     if not isinstance(relations, list):
         raise FormatError(f"signature: relations must be a list, not {relations!r}")
@@ -377,8 +379,10 @@ def structure_from_dict(data: dict) -> tuple[Structure, Optional[str], Optional[
         raise FormatError(f"signature: modal must be true or false, not {modal!r}")
     rels = []
     for rel in relations:
-        if not isinstance(rel, dict) or set(rel) - _REL_FIELDS:
-            raise FormatError("bad relation entry")
+        if not isinstance(rel, dict):
+            raise FormatError(f"relation entry {rel!r} must be an object")
+        if set(rel) - _REL_FIELDS:
+            raise FormatError(f"relation entry {rel!r}: unknown fields: {sorted(set(rel) - _REL_FIELDS)}")
         for required in ("name", "arity"):
             if required not in rel:
                 raise FormatError(f"relation entry {rel!r}: missing field {required!r}")

@@ -453,6 +453,10 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "eval", "--formula", "(dia ) tt)", fx("fix4"))
         assert (code, out, err) == (2, "", "error: expected an action, found ')' (at token 2)\n")
 
+    def test_graded_comparator_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--formula", "(gdia > 1 a tt)", fx("fix4"))
+        assert (code, out, err) == (2, "", "error: expected a comparator, found '>' (at token 2)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -522,7 +526,9 @@ class TestErrorPaths:
 class TestNonStringIds:
     """Element ids must be JSON strings, and a signature block's names,
     arities and modal flag strings, integers and booleans; any other value
-    is refused with exit 2, never coerced."""
+    is refused with exit 2, never coerced.  A signature block or relation
+    entry that is no object, or has a field the format does not know, is
+    refused with a message that names it and the field."""
 
     @staticmethod
     def data() -> dict:
@@ -548,9 +554,15 @@ class TestNonStringIds:
             ("signature", {"relations": [{"name": "a", "arity": True}]}, "relation 'a': arity must be an integer, not True"),
             ("signature", {"modal": "false"}, "signature: modal must be true or false, not 'false'"),
             ("signature", {"relations": {"a": 2}}, "signature: relations must be a list, not {'a': 2}"),
+            ("signature", {"relations": [{"name": "a", "arity": 2, "kind": "action"}]},
+             "relation entry {'name': 'a', 'arity': 2, 'kind': 'action'}: unknown fields: ['kind']"),
+            ("signature", {"relations": ["a"]}, "relation entry 'a' must be an object"),
+            ("signature", {"relations": [], "props": [], "actions": []}, "signature: unknown fields: ['actions', 'props']"),
+            ("signature", [], "signature must be an object, not []"),
         ],
         ids=["universe", "tuple", "point", "list-in-tuple", "no-name", "no-arity", "int-name", "string-arity",
-             "float-arity", "bool-arity", "string-modal", "relations-object"],
+             "float-arity", "bool-arity", "string-modal", "relations-object", "relation-field", "relation-string",
+             "signature-fields", "signature-list"],
     )
     def test_refused_with_exit_two(self, capsys, tmp_path, field, value, message):
         data = self.data()

@@ -40,7 +40,9 @@ from linspect.logic import (
 )
 from linspect.oracle import _enumerate_deadlock_formulas, gen_pointed, suite_signature
 from linspect.structures import PointedStructure, Signature, Structure
-from linspect.traces import Run, ReadyTrace, check_trace_relation, enumerate_runs, runs_upto, trace_of
+from linspect.traces import (
+    Run, ReadyTrace, check_trace_relation, enumerate_runs, maximal_runs, runs_upto, trace_of
+)
 from linspect.unravel import as_pointed, ml_unravel
 
 from conftest import pointed_pairs, pointed_structures
@@ -96,6 +98,20 @@ class TestGrammar:
         ids=["box-action", "dia-action", "not-open", "not-close", "gdia-comparator", "gdia-action"],
     )
     def test_parenthesis_is_no_name(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(gdia > 1 a tt)", "expected a comparator, found '>' (at token 2)"),
+            ("(gdia = 1 a tt)", "expected a comparator, found '=' (at token 2)"),
+            ("(and p (gdia 1 1 a tt))", "expected a comparator, found '1' (at token 5)"),
+        ],
+        ids=["greater", "equal", "nested-count"],
+    )
+    def test_graded_comparator_is_checked(self, text, message):
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula(text)
         assert str(err.value) == message
@@ -676,6 +692,63 @@ class TestSynthDistinguishingAgreesWithReference:
                     assert f is _ref_synth_distinguishing(a, b, k, fragment), (fragment, k, a.point, b.point)
                     separated += f is not None
         assert separated > 0
+
+
+def explain_pair(rng: random.Random, n: int) -> tuple[PointedStructure, PointedStructure]:
+    """A pair the size of the benchmark's ``explain`` pairs, drawn until gltr
+    fails at k 2: n states, two propositions, each state with 0, 1, 1 or 2
+    successors per action and 14-18 maximal runs at k 3, and a copy with one
+    proposition or edge toggled."""
+    sig = suite_signature(n_props=2)
+    universe = tuple(f"e{i}" for i in range(n))
+    while True:
+        interp = {x: {(e,) for e in universe if rng.random() < 0.5} for x in ("p", "q")}
+        for act in ("a", "b"):
+            interp[act] = {
+                (e, t) for e in universe
+                for t in rng.sample([u for u in universe if u != e], rng.choice((0, 1, 1, 2)))
+            }
+        name, arity = rng.choice(sig.relations)
+        x = rng.choice(universe)
+        toggled = (x,) if arity == 1 else (x, rng.choice([u for u in universe if u != x]))
+        a = PointedStructure(Structure(sig, universe, interp), universe[0])
+        b = PointedStructure(Structure(sig, universe, {**interp, name: interp[name] ^ {toggled}}), universe[0])
+        if 14 <= len(maximal_runs(a, 3)) <= 18 and not check_trace_relation("gltr", a, b, 2).holds:
+            return a, b
+
+
+class TestGradedBound:
+    """Graded synthesis skips the candidates longer than a holder-separating
+    one found before them; the printed formula is the reference's."""
+
+    def test_tie_found_after_the_bound_is_kept(self):
+        # b's runs e0 -a-> e1 and e0 -a-> e2 give two separating chains of
+        # one length; the second, visited after the first has set the bound,
+        # has the lesser text and must be printed
+        sig = suite_signature(n_props=2)
+        a = PointedStructure(Structure(sig, ("e0",), {"p": set(), "q": set(), "a": set(), "b": set()}), "e0")
+        b = PointedStructure(
+            Structure(sig, ("e0", "e1", "e2"),
+                      {"p": {("e1",)}, "q": {("e2",)}, "a": {("e0", "e1"), ("e0", "e2")}, "b": set()}),
+            "e0",
+        )
+        first = "(and (dia a (and (not q) p)) (not p) (not q))"
+        for x, y in ((a, b), (b, a)):
+            for k in (1, 2):
+                f = synth_distinguishing(x, y, k, "Graded")
+                assert f is _ref_synth_distinguishing(x, y, k, "Graded")
+                assert render_formula(f) == "(and (dia a (and (not p) q)) (not p) (not q))"
+                assert len(render_formula(f)) == len(first) and render_formula(f) < first
+
+    def test_explain_sized_pairs_agree_with_reference(self):
+        rng = random.Random(25)
+        for i in range(10):
+            a, b = explain_pair(rng, 5 + i % 4)
+            for k in (2, 3):
+                for x, y in ((a, b), (b, a)):
+                    f = synth_distinguishing(x, y, k, "Graded")
+                    assert f is not None
+                    assert f is _ref_synth_distinguishing(x, y, k, "Graded"), (i, k)
 
 
 class TestTraceFormulasAgreeWithReference:
